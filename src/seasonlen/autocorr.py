@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from seasonlen.core import AlreadyDetrendedError, TimeSeries, ZeroVarianceError
-from seasonlen.detrend import fit_polynomial, remove_trend
+from seasonlen.core import AlreadyDetrendedError, NonFiniteError, TimeSeries, ZeroVarianceError
+from seasonlen.detrend import polynomial_residual
 
 __all__ = ["AcfSeries", "autocorrelation", "detrend_acf"]
 
@@ -70,9 +70,13 @@ def detrend_acf(acf: AcfSeries) -> AcfSeries:
 
     Raises:
         AlreadyDetrendedError: the input was detrended before.
+        NonFiniteError: the autocorrelation holds a NaN or an infinity,
+            as after the spectrum of an input beyond about 1e154 overflows.
     """
     if acf.detrended:
         raise AlreadyDetrendedError("autocorrelation is already detrended")
-    as_series = TimeSeries(acf.values)
-    model = fit_polynomial(as_series, 1)
-    return AcfSeries(values=remove_trend(as_series, model).values, detrended=True)
+    bad = np.flatnonzero(~np.isfinite(acf.values))
+    if bad.size:
+        raise NonFiniteError(int(bad[0]))
+    _, residual = polynomial_residual(acf.values, 1)
+    return AcfSeries(values=residual, detrended=True)

@@ -19,7 +19,6 @@ __all__ = [
     "NonPositiveDeltaError",
     "DegreeUnsupportedError",
     "InsufficientPointsError",
-    "SingularSystemError",
     "LengthMismatchError",
     "CutoffOutOfRangeError",
     "SeriesTooShortForFilterError",
@@ -68,10 +67,6 @@ class DegreeUnsupportedError(DetectionError):
 
 class InsufficientPointsError(DetectionError):
     """Fewer observations than trend coefficients."""
-
-
-class SingularSystemError(DetectionError):
-    """Normal equations could not be solved."""
 
 
 class LengthMismatchError(DetectionError):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +161,23 @@ class TestGenCommand:
     def test_unknown_family_exits_2(self, tmp_path, capsys):
         code = main(["gen", "Mystery", "--out", str(tmp_path)])
         assert code == 2
+
+
+def test_seed7_records_keep_golden_detections(tmp_path):
+    # Golden values: the per-case "detected" field of `seasonlen gen all
+    # --seed 7` followed by `seasonlen eval`, recorded with the
+    # normal-equation trend fit. Any implementation must reproduce them to
+    # 1e-9 relative and keep every no-season case a no-season case.
+    golden = json.loads((Path(__file__).parent / "data" / "seed7_detected.json").read_text())
+    assert golden["seed"] == 7
+    records, _ = evaluate_manifest(generate_suite("all", 7, tmp_path), margin=0.2)
+    detected = {record.case: record.detected for record in records}
+    assert detected.keys() == golden["detected"].keys()
+    for case, expected in golden["detected"].items():
+        if expected is None:
+            assert detected[case] is None, case
+        else:
+            assert detected[case] == pytest.approx(expected, rel=1e-9), case
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 """Polynomial fitting, degree selection, and trend removal."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from seasonlen.core import (
     DegreeUnsupportedError,
     InsufficientPointsError,
     LengthMismatchError,
+    TimeSeries,
     validate_series,
 )
 from seasonlen.detrend import (
@@ -115,6 +118,67 @@ class TestFitPolynomial:
         removed = remove_trend(series, model)
         refit = fit_polynomial(removed, 1)
         assert refit.cost == pytest.approx(model.cost, rel=1e-10)
+
+
+def lstsq_fit(x, degree):
+    """Reference fit: numpy's least-squares solver on the design matrix."""
+    basis = design_matrix(x.size, degree)
+    coefficients, *_ = np.linalg.lstsq(basis, x, rcond=None)
+    residual = x - basis @ coefficients
+    return coefficients, float(residual @ residual) / x.size
+
+
+trend_series = st.builds(
+    lambda n, offset, slope, curve, noise, seed: offset
+    + slope * np.linspace(0.0, 1.0, n)
+    + curve * np.linspace(0.0, 1.0, n) ** 2
+    + np.random.default_rng(seed).normal(0.0, noise, n),
+    n=st.integers(min_value=3, max_value=5000),
+    offset=st.floats(min_value=-1e4, max_value=1e4),
+    slope=st.floats(min_value=-100.0, max_value=100.0),
+    curve=st.floats(min_value=-100.0, max_value=100.0),
+    noise=st.floats(min_value=0.0, max_value=10.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+class TestProjectionMatchesLstsq:
+    """The orthogonal projection against a solver that shares none of its code.
+
+    Tolerances are 1e-9 relative, with an absolute floor of 1e-9 of the
+    data's magnitude per residual, far above the float64 round-off of
+    either method on these small, well-conditioned bases.
+    """
+
+    @given(x=trend_series, degree=st.sampled_from([1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_coefficients_and_cost(self, x, degree):
+        scale = float(np.abs(x).max()) or 1.0
+        model = fit_polynomial(TimeSeries(x), degree)
+        coefficients, cost = lstsq_fit(x, degree)
+        np.testing.assert_allclose(model.coefficients, coefficients, rtol=1e-9, atol=1e-9 * scale)
+        assert model.cost == pytest.approx(cost, rel=1e-9, abs=(1e-9 * scale) ** 2)
+
+    @given(x=trend_series)
+    @settings(max_examples=60, deadline=None)
+    def test_projection_gap_is_cost_gap(self, x):
+        n = x.size
+        _, cost_linear = lstsq_fit(x, 1)
+        _, cost_quadratic = lstsq_fit(x, 2)
+        squares = design_matrix(n, 2)[:, 2]
+        q = squares - squares.mean()
+        c2 = fit_polynomial(TimeSeries(x), 2).coefficients[2]
+        gap = c2 * c2 * float(q @ q)
+        # The reference is a difference of two costs, so it is only as exact
+        # as they are: 1e-9 of the linear cost plus, per sample, the
+        # absolute floor of the cost test.
+        scale = float(np.abs(x).max()) or 1.0
+        tolerance = 1e-9 * n * cost_linear + n * (1e-9 * scale) ** 2
+        assert abs(gap - n * (cost_linear - cost_quadratic)) <= tolerance
+        if gap > 0.0:
+            log_gap = math.log(gap)
+            assert select_trend_degree(TimeSeries(x), log_gap - 1e-6) == 2
+            assert select_trend_degree(TimeSeries(x), log_gap + 1e-6) == 1
 
 
 class TestSelectTrendDegree:

@@ -5,15 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from seasonlen.autocorr import autocorrelation, detrend_acf
 from seasonlen.core import DetectionConfig, TooShortError, validate_series
+from seasonlen.detrend import fit_polynomial, remove_trend, select_trend_degree
 from seasonlen.pipeline import (
+    MIN_SEASON,
     baseline_periodogram,
     detect_season_length,
     exact_season_oracle,
     is_repetition_of_shorter,
     repeats_with_period,
 )
-from seasonlen.zerocross import estimate_from_zeros
+from seasonlen.preprocess import apply_filter, design_butterworth_lowpass, interpolate_linear
+from seasonlen.zerocross import estimate_from_zeros, find_zeros
 
 PATTERN = [0, 2, 1, 2]
 
@@ -30,6 +34,22 @@ def sine_series(period, n, noise=0.0, seed=0, trend=None, amplitude=1.0):
 
 def admitting_config(period, **overrides):
     return DetectionConfig(filter_cutoff=0.2 * 2 * math.pi / period, **overrides)
+
+
+def chained_stages(series, config):
+    """(unscaled_length, trend_degree, zero_count) from the exported stages, called in turn."""
+    upsampled = interpolate_linear(series, config.interp_factor)
+    spec = design_butterworth_lowpass(config.filter_order, config.filter_cutoff)
+    filtered = apply_filter(upsampled, spec)
+    degree = select_trend_degree(filtered, config.trend_log_threshold)
+    detrended = remove_trend(filtered, fit_polynomial(filtered, degree))
+    zeros = find_zeros(detrend_acf(autocorrelation(detrended)), config.zero_tolerance_rel)
+    if zeros.size < config.min_zero_count:
+        return None, degree, int(zeros.size)
+    season, _ = estimate_from_zeros(zeros, config.quotient_threshold, config.interp_factor)
+    if season is None or season < MIN_SEASON:
+        season = None
+    return season, degree, int(zeros.size)
 
 
 class TestDetectSeasonLength:
@@ -97,6 +117,25 @@ class TestDetectSeasonLength:
         assert result.trend_degree == 2
         assert result.diagnostics.zero_count > 0
         assert result.diagnostics.interval is None
+
+    @pytest.mark.parametrize(
+        "series, degree, seasonal",
+        [
+            (sine_series(250, 3000, noise=0.3, seed=1, trend=lambda t: 2e-3 * t), 1, True),
+            (sine_series(250, 3000, noise=0.3, seed=2, trend=lambda t: 4e-6 * t * t), 2, True),
+            (validate_series(np.random.default_rng(12).normal(0, 1, 600)), 1, False),
+        ],
+        ids=["linear-trend", "quadratic-trend", "no-season"],
+    )
+    def test_equals_chained_stages(self, series, degree, seasonal):
+        # A stage-by-stage replay reproduces detect_season_length exactly
+        # only while it calls the same exported stages in the same order.
+        config = DetectionConfig()
+        result = detect_season_length(series, config)
+        expected = (result.unscaled_length, result.trend_degree, result.diagnostics.zero_count)
+        assert chained_stages(series, config) == expected
+        assert result.trend_degree == degree
+        assert result.is_seasonal == seasonal
 
     def test_determinism_bit_for_bit(self):
         series = sine_series(250, 2500, noise=0.2, seed=3)
