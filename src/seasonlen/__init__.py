@@ -6,7 +6,7 @@ distances between zeros of the detrended autocorrelation; the longest
 stable run of distances, doubled, is the season length.
 """
 
-from seasonlen.autocorr import AcfSeries, autocorrelation, detrend_acf
+from seasonlen.autocorr import autocorrelation, detrend_acf
 from seasonlen.core import (
     DetectionConfig,
     DetectionDiagnostics,
@@ -15,70 +15,35 @@ from seasonlen.core import (
     TimeSeries,
     validate_series,
 )
-from seasonlen.detrend import (
-    TrendModel,
-    design_matrix,
-    fit_polynomial,
-    remove_trend,
-    select_trend_degree,
-)
-from seasonlen.pipeline import (
-    baseline_periodogram,
-    detect_season_length,
-    exact_season_oracle,
-)
-from seasonlen.preprocess import (
-    FilterSpec,
-    apply_filter,
-    design_butterworth_lowpass,
-    interpolate_linear,
-)
+from seasonlen.detrend import fit_polynomial, remove_trend, select_trend_degree
+from seasonlen.pipeline import baseline_periodogram, detect_season_length
+from seasonlen.preprocess import apply_filter, design_butterworth_lowpass, interpolate_linear
 from seasonlen.synthgen import FAMILY_NAMES, SeriesSpec, gen_family, generate
-from seasonlen.zerocross import (
-    ZeroAnalysis,
-    change_points,
-    estimate_from_zeros,
-    find_zeros,
-    quotients,
-    season_from_interval,
-    select_interval,
-    zero_distances,
-)
+from seasonlen.zerocross import estimate_from_zeros, find_zeros
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcfSeries",
     "DetectionConfig",
     "DetectionDiagnostics",
     "DetectionError",
     "DetectionResult",
     "FAMILY_NAMES",
-    "FilterSpec",
     "SeriesSpec",
     "TimeSeries",
-    "TrendModel",
-    "ZeroAnalysis",
     "apply_filter",
     "autocorrelation",
     "baseline_periodogram",
-    "change_points",
     "design_butterworth_lowpass",
-    "design_matrix",
     "detect_season_length",
     "detrend_acf",
     "estimate_from_zeros",
-    "exact_season_oracle",
     "find_zeros",
     "fit_polynomial",
     "gen_family",
     "generate",
     "interpolate_linear",
-    "quotients",
     "remove_trend",
-    "season_from_interval",
-    "select_interval",
     "select_trend_degree",
     "validate_series",
-    "zero_distances",
 ]

@@ -12,48 +12,27 @@ that zero crossings are measured against the true axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft
 
-from seasonlen.core import AlreadyDetrendedError, NonFiniteError, TimeSeries, ZeroVarianceError
+from seasonlen.core import TimeSeries, ZeroVarianceError
 from seasonlen.detrend import polynomial_residual
 
-__all__ = ["AcfSeries", "autocorrelation", "detrend_acf"]
+__all__ = ["autocorrelation", "detrend_acf"]
 
 
-@dataclass(frozen=True, eq=False)
-class AcfSeries:
-    """Autocorrelation values indexed by lag 0..n-1.
-
-    Attributes:
-        values: read-only array of correlation values.
-        detrended: whether the secondary linear regression has been
-            subtracted; zero analysis requires it.
-    """
-
-    values: np.ndarray
-    detrended: bool = False
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-def autocorrelation(series: TimeSeries) -> AcfSeries:
+def autocorrelation(series: TimeSeries) -> TimeSeries:
     """Normalized autocorrelation of a series at every lag.
 
     The mean is removed first; without that step the lagged-product sum
     of any offset series never crosses zero. Normalization by the lag-0
-    value puts the result in [-1, 1] with value 1 at lag 0.
+    value puts the result in [-1, 1] with value 1 at lag 0. The result
+    is indexed by lag and keeps the input's sampling interval.
 
     Raises:
         ZeroVarianceError: the series is constant.
+        NonFiniteError: the spectrum overflowed, as for inputs beyond
+            about 1e154.
     """
     x = series.values
     centered = x - x.mean()
@@ -62,21 +41,10 @@ def autocorrelation(series: TimeSeries) -> AcfSeries:
     raw = scipy.fft.irfft(spectrum, nfft)[: x.size]
     if raw[0] <= 0.0:
         raise ZeroVarianceError("constant series has no autocorrelation structure")
-    return AcfSeries(values=raw / raw[0], detrended=False)
+    return TimeSeries(raw / raw[0], series.delta)
 
 
-def detrend_acf(acf: AcfSeries) -> AcfSeries:
-    """Subtract the least-squares line fitted over all lags.
-
-    Raises:
-        AlreadyDetrendedError: the input was detrended before.
-        NonFiniteError: the autocorrelation holds a NaN or an infinity,
-            as after the spectrum of an input beyond about 1e154 overflows.
-    """
-    if acf.detrended:
-        raise AlreadyDetrendedError("autocorrelation is already detrended")
-    bad = np.flatnonzero(~np.isfinite(acf.values))
-    if bad.size:
-        raise NonFiniteError(int(bad[0]))
+def detrend_acf(acf: TimeSeries) -> TimeSeries:
+    """Subtract the least-squares line fitted over all lags."""
     _, residual = polynomial_residual(acf.values, 1)
-    return AcfSeries(values=residual, detrended=True)
+    return TimeSeries(residual, acf.delta)

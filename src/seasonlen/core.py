@@ -1,8 +1,12 @@
 """Domain types, configuration, and the shared error taxonomy.
 
-Every type in this module is an immutable value object: construction
-validates all invariants and freezes the payload, so instances can be
-shared freely between threads and passed between pipeline stages.
+Every type in this module is an immutable value object. Input is
+validated once, where it enters: TimeSeries checks the observations and
+DetectionConfig the tuning constants; later stages rely on those checks
+instead of repeating them.
+
+DetectionError and its subclasses mark bad input data a caller can act
+on. A bad argument to a stage function raises ValueError.
 """
 
 from __future__ import annotations
@@ -17,16 +21,8 @@ __all__ = [
     "TooShortError",
     "NonFiniteError",
     "NonPositiveDeltaError",
-    "DegreeUnsupportedError",
-    "InsufficientPointsError",
-    "LengthMismatchError",
-    "CutoffOutOfRangeError",
     "SeriesTooShortForFilterError",
     "ZeroVarianceError",
-    "AlreadyDetrendedError",
-    "TooFewDistancesError",
-    "TooFewQuotientsError",
-    "NoIntervalError",
     "InvalidSpecError",
     "UnknownFamilyError",
     "TimeSeries",
@@ -42,7 +38,7 @@ MIN_DETECTION_LENGTH = 4
 
 
 class DetectionError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class of the errors that mark bad input data."""
 
 
 class TooShortError(DetectionError):
@@ -61,44 +57,12 @@ class NonPositiveDeltaError(DetectionError):
     """Sampling interval is zero, negative, or not finite."""
 
 
-class DegreeUnsupportedError(DetectionError):
-    """Trend degree outside the supported range {1, 2}."""
-
-
-class InsufficientPointsError(DetectionError):
-    """Fewer observations than trend coefficients."""
-
-
-class LengthMismatchError(DetectionError):
-    """Trend model was fitted on a series of a different length."""
-
-
-class CutoffOutOfRangeError(DetectionError):
-    """Filter cutoff outside the open interval (0, pi)."""
-
-
 class SeriesTooShortForFilterError(DetectionError):
     """Series too short for stable edge handling of the filter."""
 
 
 class ZeroVarianceError(DetectionError):
     """Constant series has no correlation structure to analyze."""
-
-
-class AlreadyDetrendedError(DetectionError):
-    """Autocorrelation sequence was detrended twice."""
-
-
-class TooFewDistancesError(DetectionError):
-    """Need at least two zero distances to form quotients."""
-
-
-class TooFewQuotientsError(DetectionError):
-    """Need at least two quotients to segment distances."""
-
-
-class NoIntervalError(DetectionError):
-    """Change points do not delimit any distance interval."""
 
 
 class InvalidSpecError(DetectionError):
@@ -200,10 +164,10 @@ class DetectionConfig:
     min_zero_count: int = 3
 
     def __post_init__(self) -> None:
-        if self.interp_factor < 1:
-            raise ValueError(f"interp_factor must be >= 1, got {self.interp_factor}")
-        if self.filter_order < 1:
-            raise ValueError(f"filter_order must be >= 1, got {self.filter_order}")
+        if not (float(self.interp_factor).is_integer() and self.interp_factor >= 1):
+            raise ValueError(f"interp_factor must be an integer >= 1, got {self.interp_factor}")
+        if not (float(self.filter_order).is_integer() and self.filter_order >= 1):
+            raise ValueError(f"filter_order must be an integer >= 1, got {self.filter_order}")
         if not 0.0 < self.filter_cutoff < math.pi:
             raise ValueError(f"filter_cutoff must lie in (0, pi), got {self.filter_cutoff}")
         if not 0.0 < self.quotient_threshold < 1.0:
@@ -253,14 +217,6 @@ class DetectionResult:
     unscaled_length: float | None
     trend_degree: int
     diagnostics: DetectionDiagnostics = DetectionDiagnostics()
-
-    def __post_init__(self) -> None:
-        if (self.season_length is None) != (self.unscaled_length is None):
-            raise ValueError("season_length and unscaled_length must be set together")
-        if self.trend_degree not in (1, 2):
-            raise ValueError(f"trend_degree must be 1 or 2, got {self.trend_degree}")
-        if self.unscaled_length is not None and self.unscaled_length < 2:
-            raise ValueError("a season cannot be shorter than two observations")
 
     @property
     def is_seasonal(self) -> bool:

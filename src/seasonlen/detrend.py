@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seasonlen.core import (
-    DegreeUnsupportedError,
-    InsufficientPointsError,
-    LengthMismatchError,
-    TimeSeries,
-)
+from seasonlen.core import TimeSeries
 
 __all__ = [
     "TrendModel",
@@ -50,30 +45,18 @@ class TrendModel:
         coefficients: constant term first, in the centered time basis of
             design_matrix.
         cost: mean squared residual of the fit.
-        n: length of the series the model was fitted on; the centered
-            basis depends on it, so removal checks it.
     """
 
     degree: int
     coefficients: np.ndarray
     cost: float
-    n: int
-
-    def __post_init__(self) -> None:
-        coef = np.array(self.coefficients, dtype=np.float64, copy=True)
-        if coef.size != self.degree + 1:
-            raise ValueError(f"degree {self.degree} needs {self.degree + 1} coefficients")
-        if self.cost < 0:
-            raise ValueError("cost cannot be negative")
-        coef.flags.writeable = False
-        object.__setattr__(self, "coefficients", coef)
 
 
 def _check_degree(n: int, degree: int) -> None:
     if degree not in (1, 2):
-        raise DegreeUnsupportedError(f"only degrees 1 and 2 are supported, got {degree}")
+        raise ValueError(f"only degrees 1 and 2 are supported, got {degree}")
     if n < degree + 1:
-        raise InsufficientPointsError(f"need at least {degree + 1} points, got {n}")
+        raise ValueError(f"need at least {degree + 1} points, got {n}")
 
 
 def _centered_index(n: int) -> np.ndarray:
@@ -107,8 +90,8 @@ def design_matrix(n: int, degree: int) -> np.ndarray:
     the coefficients a TrendModel reports; the fit itself never builds it.
 
     Raises:
-        DegreeUnsupportedError: degree not in {1, 2}.
-        InsufficientPointsError: fewer samples than coefficients.
+        ValueError: degree not in {1, 2}, or fewer samples than
+            coefficients.
     """
     _check_degree(n, degree)
     t = _centered_index(n)
@@ -135,8 +118,8 @@ def polynomial_residual(values: np.ndarray, degree: int) -> tuple[np.ndarray, np
     values minus fitted trend, a new array.
 
     Raises:
-        DegreeUnsupportedError: degree not in {1, 2}.
-        InsufficientPointsError: fewer samples than coefficients.
+        ValueError: degree not in {1, 2}, or fewer samples than
+            coefficients.
     """
     n = values.size
     _check_degree(n, degree)
@@ -155,12 +138,12 @@ def fit_polynomial(series: TimeSeries, degree: int) -> TrendModel:
     """Least-squares fit of a degree-1 or degree-2 polynomial.
 
     Raises:
-        DegreeUnsupportedError: degree not in {1, 2}.
-        InsufficientPointsError: fewer samples than coefficients.
+        ValueError: degree not in {1, 2}, or fewer samples than
+            coefficients.
     """
     coefficients, residual = polynomial_residual(series.values, degree)
     cost = float(np.einsum("i,i->", residual, residual)) / residual.size
-    return TrendModel(degree=degree, coefficients=coefficients, cost=cost, n=residual.size)
+    return TrendModel(degree=degree, coefficients=coefficients, cost=cost)
 
 
 def select_trend_degree(series: TimeSeries, k_trend: float) -> int:
@@ -172,7 +155,7 @@ def select_trend_degree(series: TimeSeries, k_trend: float) -> int:
     = sum(q*x)**2 / sum(q**2); a zero gap always selects degree 1.
 
     Raises:
-        InsufficientPointsError: fewer than 3 samples.
+        ValueError: fewer than 3 samples.
     """
     x = series.values
     _check_degree(x.size, 2)
@@ -185,14 +168,6 @@ def select_trend_degree(series: TimeSeries, k_trend: float) -> int:
 
 
 def remove_trend(series: TimeSeries, model: TrendModel) -> TimeSeries:
-    """Subtract the fitted trend values from the series.
-
-    Raises:
-        LengthMismatchError: the model was fitted on a different length.
-    """
-    if model.n != len(series):
-        raise LengthMismatchError(
-            f"model fitted on {model.n} samples, series has {len(series)}"
-        )
-    residual = _subtract_trend(series.values, _centered_index(model.n), model.coefficients)
+    """Subtract the trend values, evaluated on the series' own time index."""
+    residual = _subtract_trend(series.values, _centered_index(len(series)), model.coefficients)
     return TimeSeries(residual, series.delta)

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seasonlen.autocorr import AcfSeries
-from seasonlen.core import (
-    NoIntervalError,
-    TooFewDistancesError,
-    TooFewQuotientsError,
-)
+from seasonlen.core import TimeSeries
 
 __all__ = [
     "ZeroAnalysis",
@@ -64,20 +59,8 @@ class ZeroAnalysis:
     member_count: int = 0
     low_confidence: bool = False
 
-    def __post_init__(self) -> None:
-        zeros = np.asarray(self.zeros, dtype=np.float64)
-        if zeros.size > 1 and not np.all(np.diff(zeros) > 0):
-            raise ValueError("zero positions must be strictly ascending")
-        dist = np.asarray(self.distances, dtype=np.float64)
-        if dist.size and (np.any(dist <= 1.0) or np.any(np.diff(dist) < 0)):
-            raise ValueError("distances must exceed 1 and be sorted ascending")
-        if self.interval is not None:
-            a, b = self.interval
-            if not 1 <= a < b <= dist.size:
-                raise ValueError(f"interval ({a}, {b}] out of range for {dist.size} distances")
 
-
-def find_zeros(acf: AcfSeries, epsilon_rel: float) -> np.ndarray:
+def find_zeros(acf: TimeSeries, epsilon_rel: float) -> np.ndarray:
     """Locate the zeros of a detrended autocorrelation.
 
     Two detectors feed the result: sign changes between consecutive
@@ -90,8 +73,6 @@ def find_zeros(acf: AcfSeries, epsilon_rel: float) -> np.ndarray:
 
     An empty result is a legal outcome, not an error.
     """
-    if not acf.detrended:
-        raise ValueError("zeros are only meaningful on a detrended autocorrelation")
     if epsilon_rel < 0:
         raise ValueError(f"epsilon_rel must be >= 0, got {epsilon_rel}")
     v = acf.values
@@ -145,11 +126,11 @@ def quotients(distances: np.ndarray) -> np.ndarray:
     of nearly equal distances, larger values mark jumps.
 
     Raises:
-        TooFewDistancesError: fewer than two distances.
+        ValueError: fewer than two distances.
     """
     distances = np.asarray(distances, dtype=np.float64)
     if distances.size < 2:
-        raise TooFewDistancesError(f"need at least 2 distances, got {distances.size}")
+        raise ValueError(f"need at least 2 distances, got {distances.size}")
     return distances[1:] / distances[:-1]
 
 
@@ -166,12 +147,12 @@ def change_points(gamma: np.ndarray, k_quot: float) -> np.ndarray:
     repeat the last jump mark and a zero-width interval would result.
 
     Raises:
-        TooFewQuotientsError: fewer than two quotients.
+        ValueError: fewer than two quotients.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
     m = gamma.size
     if m < 2:
-        raise TooFewQuotientsError(f"need at least 2 quotients, got {m}")
+        raise ValueError(f"need at least 2 quotients, got {m}")
     marks = np.zeros(m, dtype=np.int64)
     jump = np.abs(np.diff(gamma)) > k_quot
     positions = np.arange(2, m + 1)
@@ -194,17 +175,18 @@ def select_interval(points: np.ndarray, distances: np.ndarray) -> tuple[int, int
     a+1..b, exactly b-a of them.
 
     Raises:
-        NoIntervalError: fewer than two change points.
+        ValueError: fewer than two change points, or bounds that do not
+            fit the distances.
     """
     points = np.asarray(points, dtype=np.int64)
     if points.size < 2:
-        raise NoIntervalError(f"need at least 2 change points, got {points.size}")
+        raise ValueError(f"need at least 2 change points, got {points.size}")
     gaps = np.diff(points)
     best = int(np.argmax(gaps))
     a = int(points[best])
     b = int(points[best + 1])
     if not 1 <= a < b <= np.asarray(distances).size:
-        raise NoIntervalError(f"interval ({a}, {b}] does not fit {len(distances)} distances")
+        raise ValueError(f"interval ({a}, {b}] does not fit {len(distances)} distances")
     return a, b
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seasonlen.autocorr import AcfSeries, autocorrelation, detrend_acf
-from seasonlen.core import AlreadyDetrendedError, ZeroVarianceError, validate_series
+from seasonlen.autocorr import autocorrelation, detrend_acf
+from seasonlen.core import TimeSeries, ZeroVarianceError, validate_series
 
 
 def direct_acf(values):
@@ -82,19 +82,12 @@ class TestDetrendAcf:
         acf = autocorrelation(validate_series(np.sin(2 * np.pi * t / 400)))
         detrended = detrend_acf(acf)
         assert np.abs(detrended.values - acf.values).max() < 0.05
-        assert detrended.detrended
 
     def test_pure_line_removed_exactly(self):
         lags = np.arange(200, dtype=float)
         line = 0.5 - lags / (2 * 199)
-        detrended = detrend_acf(AcfSeries(values=line, detrended=False))
+        detrended = detrend_acf(TimeSeries(line))
         assert np.abs(detrended.values).max() < 1e-9
-
-    def test_double_detrend_rejected(self):
-        acf = autocorrelation(validate_series(np.random.default_rng(0).normal(0, 1, 50)))
-        once = detrend_acf(acf)
-        with pytest.raises(AlreadyDetrendedError):
-            detrend_acf(once)
 
     def test_sinusoid_zero_near_quarter_period(self):
         period = 40

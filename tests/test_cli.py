@@ -110,6 +110,17 @@ class TestDetectCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["season_length"] == pytest.approx(payload["unscaled_length"] * 0.5)
 
+    def test_order_4_at_default_cutoff(self, tmp_path, capsys):
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 1000, 8000)
+        code = main(["detect", "--input", str(path), "--order", "4"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "season_length", "unscaled_length", "trend_degree", "zeros", "interval_size"
+        }
+        assert payload["unscaled_length"] == pytest.approx(1000, rel=0.05)
+
     def test_too_short_exits_2(self, tmp_path, capsys):
         path = tmp_path / "short.csv"
         path.write_text("value\n1.0\n2.0\n3.0\n")

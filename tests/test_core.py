@@ -95,6 +95,8 @@ class TestDetectionConfig:
             {"quotient_threshold": 1.0},
             {"zero_tolerance_rel": -1e-9},
             {"min_zero_count": 0},
+            {"interp_factor": 2.5},
+            {"filter_order": 2.5},
         ],
     )
     def test_invariant_violations(self, kwargs):
@@ -106,14 +108,6 @@ class TestDetectionResult:
     def test_no_season_outcome(self):
         result = DetectionResult(season_length=None, unscaled_length=None, trend_degree=1)
         assert not result.is_seasonal
-
-    def test_scaled_and_unscaled_must_agree(self):
-        with pytest.raises(ValueError):
-            DetectionResult(season_length=12.0, unscaled_length=None, trend_degree=1)
-
-    def test_minimum_season(self):
-        with pytest.raises(ValueError):
-            DetectionResult(season_length=1.5, unscaled_length=1.5, trend_degree=1)
 
     def test_short_series_allowed_for_intermediate_types(self):
         # A two-point series is a legal value object; only detection

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seasonlen.autocorr import autocorrelation, detrend_acf
-from seasonlen.core import DetectionConfig, TooShortError, validate_series
+from seasonlen.core import DetectionConfig, NonFiniteError, TooShortError, validate_series
 from seasonlen.detrend import fit_polynomial, remove_trend, select_trend_degree
 from seasonlen.pipeline import (
     MIN_SEASON,
@@ -119,23 +119,41 @@ class TestDetectSeasonLength:
         assert result.diagnostics.interval is None
 
     @pytest.mark.parametrize(
-        "series, degree, seasonal",
+        "series, config, degree, seasonal",
         [
-            (sine_series(250, 3000, noise=0.3, seed=1, trend=lambda t: 2e-3 * t), 1, True),
-            (sine_series(250, 3000, noise=0.3, seed=2, trend=lambda t: 4e-6 * t * t), 2, True),
-            (validate_series(np.random.default_rng(12).normal(0, 1, 600)), 1, False),
+            (sine_series(250, 3000, noise=0.3, seed=1, trend=lambda t: 2e-3 * t),
+             DetectionConfig(), 1, True),
+            (sine_series(250, 3000, noise=0.3, seed=2, trend=lambda t: 4e-6 * t * t),
+             DetectionConfig(), 2, True),
+            (validate_series(np.random.default_rng(12).normal(0, 1, 600)),
+             DetectionConfig(), 1, False),
+        ] + [
+            # Orders 4 to 8 at the default cutoff, where a single
+            # transfer-function polynomial pair is ill-conditioned.
+            (sine_series(1000, 8000, noise=0.3, seed=order, trend=lambda t: 2e-4 * t),
+             DetectionConfig(filter_order=order), 1, True)
+            for order in range(4, 9)
         ],
-        ids=["linear-trend", "quadratic-trend", "no-season"],
+        ids=["linear-trend", "quadratic-trend", "no-season"]
+        + [f"order-{order}" for order in range(4, 9)],
     )
-    def test_equals_chained_stages(self, series, degree, seasonal):
+    def test_equals_chained_stages(self, series, config, degree, seasonal):
         # A stage-by-stage replay reproduces detect_season_length exactly
         # only while it calls the same exported stages in the same order.
-        config = DetectionConfig()
         result = detect_season_length(series, config)
         expected = (result.unscaled_length, result.trend_degree, result.diagnostics.zero_count)
         assert chained_stages(series, config) == expected
         assert result.trend_degree == degree
         assert result.is_seasonal == seasonal
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_spectrum_overflow_raises_non_finite(self):
+        # Squaring the spectrum of values near 1e200 overflows, and the
+        # autocorrelation reports it as NonFiniteError. Centring and
+        # scaling the input once at the boundary will make such input
+        # detectable instead (ROADMAP item 3), replacing this expectation.
+        with pytest.raises(NonFiniteError):
+            detect_season_length(sine_series(250, 3000, amplitude=1e200))
 
     def test_determinism_bit_for_bit(self):
         series = sine_series(250, 2500, noise=0.2, seed=3)
