@@ -25,17 +25,21 @@ def autocorrelation(series: TimeSeries) -> TimeSeries:
     """Normalized autocorrelation of a series at every lag.
 
     The mean is removed first; without that step the lagged-product sum
-    of any offset series never crosses zero. Normalization by the lag-0
+    of any offset series never crosses zero. The centered series is then
+    scaled by the power of two that brings its largest magnitude into
+    [0.5, 1), so the squared spectrum neither overflows nor underflows at
+    any float64 scale; a power of two scales every FFT step exactly, so
+    the normalized result does not change. Normalization by the lag-0
     value puts the result in [-1, 1] with value 1 at lag 0. The result
     is indexed by lag and keeps the input's sampling interval.
 
     Raises:
         ZeroVarianceError: the series is constant.
-        NonFiniteError: the spectrum overflowed, as for inputs beyond
-            about 1e154.
     """
     x = series.values
     centered = x - x.mean()
+    _, exponent = np.frexp(max(centered.max(), -centered.min()))
+    np.ldexp(centered, -exponent, out=centered)
     nfft = scipy.fft.next_fast_len(2 * x.size)
     spectrum = np.abs(scipy.fft.rfft(centered, nfft)) ** 2
     raw = scipy.fft.irfft(spectrum, nfft)[: x.size]

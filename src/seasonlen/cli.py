@@ -137,10 +137,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
-
 def generate_suite(family: str, seed: int, outdir) -> Path:
     """Write one family (or all) as CSV files plus a manifest.
 
@@ -157,9 +153,7 @@ def generate_suite(family: str, seed: int, outdir) -> Path:
         for series, reference, label in gen_family(name, seed):
             rel = f"{name}/{label}.csv"
             with (outdir / rel).open("w", newline="") as handle:
-                handle.write("value\n")
-                for v in series.values:
-                    handle.write(_format_float(v) + "\n")
+                handle.write("value\n" + "".join(f"{v!r}\n" for v in series.values.tolist()))
             if isinstance(reference, tuple):
                 reference = list(reference)
             entries.append({"path": rel, "reference": reference, "family": name, "case": label})

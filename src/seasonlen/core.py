@@ -2,11 +2,11 @@
 
 Every type in this module is an immutable value object. Input is
 validated once, where it enters: TimeSeries checks the observations and
-DetectionConfig the tuning constants; later stages rely on those checks
-instead of repeating them.
+DetectionConfig the tuning constants; later stages do not re-check their
+arguments.
 
-DetectionError and its subclasses mark bad input data a caller can act
-on. A bad argument to a stage function raises ValueError.
+DetectionError means the input data is bad, and each subclass names a
+condition a caller can act on. A bad argument raises ValueError.
 """
 
 from __future__ import annotations
@@ -21,10 +21,7 @@ __all__ = [
     "TooShortError",
     "NonFiniteError",
     "NonPositiveDeltaError",
-    "SeriesTooShortForFilterError",
     "ZeroVarianceError",
-    "InvalidSpecError",
-    "UnknownFamilyError",
     "TimeSeries",
     "DetectionConfig",
     "DetectionDiagnostics",
@@ -57,20 +54,8 @@ class NonPositiveDeltaError(DetectionError):
     """Sampling interval is zero, negative, or not finite."""
 
 
-class SeriesTooShortForFilterError(DetectionError):
-    """Series too short for stable edge handling of the filter."""
-
-
 class ZeroVarianceError(DetectionError):
     """Constant series has no correlation structure to analyze."""
-
-
-class InvalidSpecError(DetectionError):
-    """Synthetic series specification violates its invariants."""
-
-
-class UnknownFamilyError(DetectionError):
-    """Requested benchmark family does not exist."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +74,9 @@ class TimeSeries:
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=np.float64, copy=True)
         if arr.ndim != 1:
-            raise InvalidSpecError("observations must form a one-dimensional sequence")
+            raise DetectionError(
+                f"observations must form a one-dimensional sequence, got shape {arr.shape}"
+            )
         if arr.size < 2:
             raise TooShortError(f"need at least 2 observations, got {arr.size}")
         bad = np.flatnonzero(~np.isfinite(arr))
@@ -117,12 +104,13 @@ def validate_series(raw, delta: float = 1.0) -> TimeSeries:
         A TimeSeries long enough for detection.
 
     Raises:
+        DetectionError: the observations are not one-dimensional.
         TooShortError: fewer than 4 observations.
         NonFiniteError: a NaN or infinity is present.
         NonPositiveDeltaError: non-positive or non-finite interval.
     """
     arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < MIN_DETECTION_LENGTH:
+    if arr.ndim == 1 and arr.size < MIN_DETECTION_LENGTH:
         raise TooShortError(
             f"detection needs at least {MIN_DETECTION_LENGTH} observations, got {arr.size}"
         )

@@ -25,7 +25,7 @@ from seasonlen.core import (
     TooShortError,
     ZeroVarianceError,
 )
-from seasonlen.detrend import fit_polynomial, remove_trend, select_trend_degree
+from seasonlen.detrend import fit_polynomial, polynomial_residual, remove_trend, select_trend_degree
 from seasonlen.preprocess import (
     apply_filter,
     design_butterworth_lowpass,
@@ -77,8 +77,8 @@ def detect_season_length(
     an identical result.
 
     Raises:
-        TooShortError: fewer than 4 observations.
-        SeriesTooShortForFilterError: too short for the filter edges.
+        TooShortError: fewer than 4 observations, or too few for the
+            filter edges once upsampled.
     """
     if config is None:
         config = DetectionConfig()
@@ -168,7 +168,7 @@ def baseline_periodogram(series: TimeSeries) -> float | None:
         raise TooShortError(f"baseline needs at least 16 observations, got {x.size}")
     if np.ptp(x) == 0.0:
         return None
-    residual = remove_trend(series, fit_polynomial(series, 1)).values
+    _, residual = polynomial_residual(x, 1)
     power = np.abs(np.fft.rfft(residual)) ** 2
     peak = int(np.argmax(power))
     if peak == 0:

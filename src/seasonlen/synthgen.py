@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from seasonlen.core import InvalidSpecError, TimeSeries, UnknownFamilyError, validate_series
-from seasonlen.pipeline import exact_season_oracle
+from seasonlen.core import TimeSeries, validate_series
+from seasonlen.pipeline import is_repetition_of_shorter
 
 __all__ = ["SeriesSpec", "generate", "gen_family", "FAMILY_NAMES", "FAMILY_SIZES"]
 
@@ -92,32 +92,32 @@ class SeriesSpec:
 
     def __post_init__(self) -> None:
         if self.pattern not in PATTERNS:
-            raise InvalidSpecError(f"unknown pattern {self.pattern!r}")
+            raise ValueError(f"unknown pattern {self.pattern!r}")
         if self.length < 4:
-            raise InvalidSpecError(f"length must be >= 4, got {self.length}")
+            raise ValueError(f"length must be >= 4, got {self.length}")
         if self.period is not None:
             if self.period < 2:
-                raise InvalidSpecError(f"season length must be >= 2, got {self.period}")
+                raise ValueError(f"season length must be >= 2, got {self.period}")
             if self.length < 4 * self.period:
-                raise InvalidSpecError(
+                raise ValueError(
                     f"length {self.length} gives fewer than 4 cycles of period {self.period}"
                 )
         if self.pattern == "tile" and (self.tile is None or self.period != len(self.tile)):
-            raise InvalidSpecError("tile pattern needs a block whose length is the period")
+            raise ValueError("tile pattern needs a block whose length is the period")
         if self.pattern == "two_sinusoids" and self.period is not None and self.second_period is None:
-            raise InvalidSpecError("two_sinusoids needs a second period")
+            raise ValueError("two_sinusoids needs a second period")
         if self.noise_sigma < 0:
-            raise InvalidSpecError("noise_sigma must be >= 0")
+            raise ValueError("noise_sigma must be >= 0")
         if self.outlier_count < 0:
-            raise InvalidSpecError("outlier count cannot be negative")
+            raise ValueError("outlier count cannot be negative")
         if self.outlier_count >= self.length / 10:
-            raise InvalidSpecError("outlier count must stay below a tenth of the length")
+            raise ValueError("outlier count must stay below a tenth of the length")
         if self.trend_degree not in (0, 1, 2):
-            raise InvalidSpecError(f"trend degree must be 0, 1, or 2, got {self.trend_degree}")
+            raise ValueError(f"trend degree must be 0, 1, or 2, got {self.trend_degree}")
         if self.trend_degree and len(self.trend_coefficients) != self.trend_degree + 1:
-            raise InvalidSpecError("trend needs degree + 1 coefficients")
+            raise ValueError("trend needs degree + 1 coefficients")
         if self.trend_degree == 0 and len(self.trend_coefficients) > 1:
-            raise InvalidSpecError("degree 0 carries at most a constant offset")
+            raise ValueError("degree 0 carries at most a constant offset")
 
 
 def _seasonal_component(spec: SeriesSpec, t: np.ndarray) -> np.ndarray:
@@ -127,8 +127,8 @@ def _seasonal_component(spec: SeriesSpec, t: np.ndarray) -> np.ndarray:
         return spec.amplitude * np.sin(2.0 * math.pi * t / spec.period)
     if spec.pattern == "tile":
         block = np.asarray(spec.tile, dtype=np.float64) * spec.amplitude
-        if exact_season_oracle(np.tile(block, 4)) != block.size:
-            raise InvalidSpecError("tile block is itself a repetition of a shorter block")
+        if is_repetition_of_shorter(block):
+            raise ValueError("tile block is itself a repetition of a shorter block")
         reps = -(-spec.length // block.size)
         return np.tile(block, reps)[: spec.length]
     primary = spec.amplitude * np.sin(2.0 * math.pi * t / spec.period)
@@ -440,12 +440,12 @@ def gen_family(name: str, seed: int) -> list[tuple[TimeSeries, object, str]]:
     non-seasonal cases.
 
     Raises:
-        UnknownFamilyError: the name is not one of FAMILY_NAMES.
+        ValueError: the name is not one of FAMILY_NAMES.
     """
     try:
         builder = _FAMILY_BUILDERS[name]
     except KeyError:
-        raise UnknownFamilyError(
+        raise ValueError(
             f"unknown family {name!r}; pick one of {', '.join(FAMILY_NAMES)}"
         ) from None
     cases = builder(seed)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from seasonlen.autocorr import autocorrelation, detrend_acf
 from seasonlen.core import TimeSeries, ZeroVarianceError, validate_series
@@ -65,6 +65,21 @@ class TestAutocorrelation:
         plain = autocorrelation(validate_series(x)).values
         scaled = autocorrelation(validate_series(scale * x)).values
         assert np.abs(plain - scaled).max() < 1e-9
+
+    @given(
+        values=st.lists(st.floats(min_value=1.0, max_value=2.0), min_size=4, max_size=200),
+        exponent=st.integers(min_value=-1000, max_value=1000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_scaling_is_bit_identical(self, values, exponent):
+        # Values in [1, 2] stay normal under any 2**k with |k| <= 1000, so
+        # every float operation is the same as at scale 1, shifted in
+        # exponent only.
+        x = np.array(values)
+        assume(np.ptp(x) > 0.0)
+        plain = autocorrelation(validate_series(x)).values
+        scaled = autocorrelation(validate_series(np.ldexp(x, exponent))).values
+        assert np.array_equal(plain, scaled)
 
     @given(offset=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
     @settings(max_examples=30, deadline=None)

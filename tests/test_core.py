@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from seasonlen.core import (
     DetectionConfig,
+    DetectionError,
     DetectionResult,
     NonFiniteError,
     NonPositiveDeltaError,
@@ -27,6 +28,11 @@ class TestValidateSeries:
     def test_too_short(self):
         with pytest.raises(TooShortError):
             validate_series([1, 2, 3], 1.0)
+
+    def test_two_dimensional_input_names_its_shape(self):
+        with pytest.raises(DetectionError, match=r"shape \(3, 3\)") as err:
+            validate_series(np.ones((3, 3)))
+        assert not isinstance(err.value, TooShortError)
 
     def test_non_finite_reports_first_index(self):
         with pytest.raises(NonFiniteError) as err:

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seasonlen.autocorr import autocorrelation, detrend_acf
-from seasonlen.core import DetectionConfig, NonFiniteError, TooShortError, validate_series
+from seasonlen.core import DetectionConfig, TooShortError, validate_series
 from seasonlen.detrend import fit_polynomial, remove_trend, select_trend_degree
 from seasonlen.pipeline import (
     MIN_SEASON,
@@ -146,14 +147,28 @@ class TestDetectSeasonLength:
         assert result.trend_degree == degree
         assert result.is_seasonal == seasonal
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-    def test_spectrum_overflow_raises_non_finite(self):
-        # Squaring the spectrum of values near 1e200 overflows, and the
-        # autocorrelation reports it as NonFiniteError. Centring and
-        # scaling the input once at the boundary will make such input
-        # detectable instead (ROADMAP item 3), replacing this expectation.
-        with pytest.raises(NonFiniteError):
-            detect_season_length(sine_series(250, 3000, amplitude=1e200))
+    @pytest.mark.parametrize(
+        "amplitude, offset",
+        [(1e-300, 0.0), (1e200, 0.0), (1e300, 0.0), (1.0, 1e11)],
+        ids=["scale-1e-300", "scale-1e200", "scale-1e300", "offset-1e11"],
+    )
+    def test_extreme_scale_and_offset_detect(self, amplitude, offset):
+        # Unscaled, the squared spectrum of values near 1e200 overflows and
+        # that of values near 1e-300 underflows; filtered in absolute terms,
+        # an offset of 1e11 drowns the season in the recursion's rounding.
+        series = validate_series(sine_series(250, 5000, amplitude=amplitude).values + offset)
+        result = detect_season_length(series)
+        assert result.is_seasonal
+        assert result.unscaled_length == pytest.approx(250, rel=0.02)
+
+    @given(offset=st.floats(min_value=-1e12, max_value=1e12))
+    @settings(max_examples=40, deadline=None)
+    def test_offset_invariance_up_to_1e12_times_the_range(self, offset):
+        series = sine_series(250, 2000, noise=0.1, seed=3)
+        shifted = validate_series(series.values + offset * np.ptp(series.values))
+        a = detect_season_length(series)
+        b = detect_season_length(shifted)
+        assert b.unscaled_length == pytest.approx(a.unscaled_length, rel=1e-2)
 
     def test_determinism_bit_for_bit(self):
         series = sine_series(250, 2500, noise=0.2, seed=3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seasonlen.core import SeriesTooShortForFilterError, TimeSeries, validate_series
+from seasonlen.core import TimeSeries, TooShortError, validate_series
 from seasonlen.preprocess import (
     apply_filter,
     design_butterworth_lowpass,
@@ -131,7 +131,7 @@ class TestApplyFilter:
 
     def test_too_short(self):
         spec = design_butterworth_lowpass(2, 0.05 * math.pi)
-        with pytest.raises(SeriesTooShortForFilterError):
+        with pytest.raises(TooShortError, match="more than 12 samples"):
             apply_filter(validate_series(np.ones(12)), spec)
 
     def test_high_frequency_attenuated(self):
