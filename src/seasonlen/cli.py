@@ -15,11 +15,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
+import numpy as np
 
 from seasonlen.core import (
     DetectionConfig,
@@ -76,35 +80,74 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
 
     The column is selected by zero-based index or by header name. A
     header row is detected automatically: if the first row's selected
-    cell does not parse as a number it is skipped.
+    cell does not parse as a number it is skipped. Blank lines are
+    ignored, and a parse error names the file's physical line number.
+
+    numpy.loadtxt parses the column. Where it rejects the data, the
+    csv-module reader runs instead: it reports the line-numbered error,
+    or accepts the cells that float() takes and loadtxt does not (such
+    as 1_0, or lines ending in a bare carriage return). Files with a
+    quote character after the header always take the csv-module reader,
+    since a quoted delimiter would shift loadtxt's columns.
     """
     path = Path(path)
     with path.open(newline="") as handle:
-        rows = [row for row in csv.reader(handle, delimiter=delimiter) if row]
-    if not rows:
+        text = handle.read()
+    buffer = io.StringIO(text, newline="")
+    first = next((row for row in csv.reader(buffer, delimiter=delimiter) if row), None)
+    if first is None:
         raise ValueError(f"{path}: file contains no data")
 
     index: int | None = int(column) if column.lstrip("-").isdigit() else None
-    start = 0
+    has_header = True
     if index is None:
-        header = [cell.strip() for cell in rows[0]]
+        header = [cell.strip() for cell in first]
         if column not in header:
             raise ValueError(f"{path}: no column named {column!r} in header {header}")
         index = header.index(column)
-        start = 1
     else:
         try:
-            float(rows[0][index])
+            float(first[index])
+            has_header = False
         except (ValueError, IndexError):
-            start = 1  # header row
+            pass
 
+    start = buffer.tell() if has_header else 0
+    values = None
+    if text.find('"', start) < 0:
+        buffer.seek(start)
+        try:
+            with warnings.catch_warnings():
+                # A header-only file: the empty result fails validation below.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                values = np.loadtxt(buffer, delimiter=delimiter, usecols=index, comments=None,
+                                    ndmin=1, dtype=np.float64)
+        except ValueError:
+            pass
+    if values is None:
+        buffer.seek(0)
+        values = _read_column(buffer, column, index, delimiter, has_header, path)
+    return validate_series(values, delta)
+
+
+def _read_column(lines, column: str, index: int, delimiter: str, has_header: bool,
+                 path: Path) -> list[float]:
+    """float() of the selected cell of every non-blank row, after the header if any."""
+    rows = csv.reader(lines, delimiter=delimiter)
     values = []
-    for lineno, row in enumerate(rows[start:], start=start + 1):
+    for row in rows:
+        if not row:
+            continue
+        if has_header:
+            has_header = False
+            continue
         try:
             values.append(float(row[index]))
         except (ValueError, IndexError) as exc:
-            raise ValueError(f"{path}:{lineno}: cannot read column {column!r}: {exc}") from exc
-    return validate_series(values, delta)
+            raise ValueError(
+                f"{path}:{rows.line_num}: cannot read column {column!r}: {exc}"
+            ) from exc
+    return values
 
 
 def _config_from_args(args: argparse.Namespace) -> DetectionConfig:

@@ -77,8 +77,12 @@ def _q_squared_sum(n: int) -> float:
 
 
 def _quadratic_inner(x: np.ndarray, t: np.ndarray, mean: float) -> float:
-    """sum(q * x) = sum(t**2 * x) - sum(t**2) * mean(x), without forming q."""
-    return float(np.einsum("i,i,i->", t, t, x)) - _t_squared_sum(x.size) * mean
+    """sum(q * x) = sum(t**2 * (x - mean(x))), without forming q.
+
+    Centring x before the sum keeps an offset far above the variation
+    from cancelling the result away.
+    """
+    return float(np.einsum("i,i,i->", t, t, x - mean))
 
 
 def design_matrix(n: int, degree: int) -> np.ndarray:

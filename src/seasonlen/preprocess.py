@@ -10,6 +10,7 @@ initial conditions would inject at the series edges.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,12 +68,15 @@ def interpolate_linear(series: TimeSeries, factor: int) -> TimeSeries:
     return TimeSeries(out, series.delta / factor)
 
 
+@functools.lru_cache(maxsize=16)
 def design_butterworth_lowpass(order: int, cutoff: float) -> FilterSpec:
     """Design a Butterworth low-pass with its half-power point at cutoff.
 
     The analog prototype is mapped to discrete time with the bilinear
     transform; pre-warping places the half-power point exactly at the
-    requested frequency.
+    requested frequency. The design is a pure function of its arguments
+    and is memoised, so repeated calls with one (order, cutoff) return
+    the same FilterSpec; its sos array is shared and must not be written.
 
     Raises:
         ValueError: order not a positive integer, or cutoff not strictly

@@ -1,11 +1,15 @@
 """Command line surface: detect, gen, eval."""
 
+import csv
+import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from seasonlen.cli import (
     EvalRecord,
@@ -16,6 +20,7 @@ from seasonlen.cli import (
     main,
     read_series_csv,
 )
+from seasonlen.core import TooShortError
 
 
 def write_sine_csv(path, period, n, header=True):
@@ -85,6 +90,94 @@ class TestReadSeriesCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="no column named"):
             read_series_csv(path, column="c")
+
+    def test_parse_error_names_the_physical_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("value\n1\n\n\n2\nx\n3\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:6:"):
+            read_series_csv(path)
+
+    def test_header_only_file_is_too_short(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("value\n\n")
+        with pytest.raises(TooShortError, match="got 0"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_file_without_rows(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="file contains no data"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, column, expected",
+        [
+            ("value\n1_0\n2\n3\n4\n", "0", [10, 2, 3, 4]),
+            ("value\r1\r2\r3\r4\r", "0", [1, 2, 3, 4]),
+            ('"a,b",1,2\n"c,d",3,4\n"e,f",5,6\n"g,h",7,8\n', "2", [2, 4, 6, 8]),
+            ("a,b\n1,2\n3,4,5\n6,7\n8,9\n", "-1", [2, 5, 7, 9]),
+        ],
+        ids=["underscore", "bare-carriage-returns", "quoted-delimiter", "ragged-last-column"],
+    )
+    def test_cells_only_the_csv_module_reads(self, tmp_path, text, column, expected):
+        path = tmp_path / "odd.csv"
+        path.write_bytes(text.encode())
+        assert read_series_csv(path, column=column).values.tolist() == expected
+
+
+PADDING = st.sampled_from(["", " ", "\t"])
+CELL = st.builds(lambda pre, value, post: pre + repr(value) + post,
+                 PADDING, st.floats(allow_nan=False, allow_infinity=False), PADDING)
+
+
+@st.composite
+def csv_files(draw, bad_cell):
+    """(text, delimiter, column index, has header, physical line of the bad cell or None)."""
+    delimiter = draw(st.sampled_from([",", ";"]))
+    width = draw(st.integers(min_value=1, max_value=3))
+    index = draw(st.integers(min_value=0, max_value=width - 1))
+    header = draw(st.booleans())
+    rows = draw(st.lists(st.lists(CELL, min_size=width, max_size=width), min_size=4, max_size=30))
+    blank_before = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    # Without a header, a bad first row would be taken for one.
+    first = 0 if header else 1
+    bad_row = draw(st.integers(min_value=first, max_value=len(rows) - 1)) if bad_cell else None
+    lines = [delimiter.join(f"c{i}" for i in range(width))] if header else []
+    bad_line = None
+    for i, (row, blank) in enumerate(zip(rows, blank_before)):
+        if blank:
+            lines.append("")
+        if i == bad_row:
+            row = row[:index] + ["1.5x"] + row[index + 1:]
+            bad_line = len(lines) + 1
+        lines.append(delimiter.join(row))
+    return "\n".join(lines) + "\n", delimiter, index, header, bad_line
+
+
+class TestReadSeriesCsvMatchesCsvModule:
+    @given(case=csv_files(bad_cell=False))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_values_are_bit_identical(self, tmp_path, case):
+        text, delimiter, index, header, _ = case
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        rows = [row for row in csv.reader(io.StringIO(text, newline=""), delimiter=delimiter) if row]
+        expected = np.array([float(row[index]) for row in rows[int(header):]])
+        got = read_series_csv(path, column=str(index), delimiter=delimiter).values
+        assert got.tobytes() == expected.tobytes()
+
+    @given(case=csv_files(bad_cell=True))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bad_cell_names_its_line(self, tmp_path, case):
+        text, delimiter, index, _, bad_line = case
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        message = f"{path}:{bad_line}: cannot read column '{index}': could not convert string to float"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_series_csv(path, column=str(index), delimiter=delimiter)
 
 
 class TestDetectCommand:

@@ -148,18 +148,22 @@ class TestDetectSeasonLength:
         assert result.is_seasonal == seasonal
 
     @pytest.mark.parametrize(
-        "amplitude, offset",
-        [(1e-300, 0.0), (1e200, 0.0), (1e300, 0.0), (1.0, 1e11)],
-        ids=["scale-1e-300", "scale-1e200", "scale-1e300", "offset-1e11"],
+        "amplitude, offset, period, n",
+        [(1e-300, 0.0, 250, 5000), (1e200, 0.0, 250, 5000), (1e300, 0.0, 250, 5000),
+         (1.0, 1e11, 250, 5000), (1.0, 1e14, 252, 2520), (1.0, 1e14, 252, 3000)],
+        ids=["scale-1e-300", "scale-1e200", "scale-1e300", "offset-1e11",
+             "offset-1e14-n2520", "offset-1e14-n3000"],
     )
-    def test_extreme_scale_and_offset_detect(self, amplitude, offset):
+    def test_extreme_scale_and_offset_detect(self, amplitude, offset, period, n):
         # Unscaled, the squared spectrum of values near 1e200 overflows and
         # that of values near 1e-300 underflows; filtered in absolute terms,
-        # an offset of 1e11 drowns the season in the recursion's rounding.
-        series = validate_series(sine_series(250, 5000, amplitude=amplitude).values + offset)
+        # an offset of 1e11 drowns the season in the recursion's rounding;
+        # summed uncentred, an offset of 1e14 cancels the quadratic-trend
+        # gap into a spurious quadratic trend.
+        series = validate_series(sine_series(period, n, amplitude=amplitude).values + offset)
         result = detect_season_length(series)
         assert result.is_seasonal
-        assert result.unscaled_length == pytest.approx(250, rel=0.02)
+        assert result.unscaled_length == pytest.approx(period, rel=0.02)
 
     @given(offset=st.floats(min_value=-1e12, max_value=1e12))
     @settings(max_examples=40, deadline=None)

@@ -103,6 +103,14 @@ class TestButterworthDesign:
         want = 1.0 / (1.0 + (np.tan(omegas / 2) / np.tan(cutoff / 2)) ** (2 * order))
         assert np.abs(got - want).max() < 1e-6
 
+    def test_design_is_memoised_and_filtering_leaves_it_intact(self):
+        cutoff = 0.05 * math.pi
+        spec = design_butterworth_lowpass(2, cutoff)
+        assert design_butterworth_lowpass(2, cutoff) is spec
+        sos = spec.sos.copy()
+        apply_filter(validate_series(np.sin(np.arange(500.0))), spec)
+        assert np.array_equal(spec.sos, sos)
+
     @pytest.mark.parametrize("cutoff", [0.0, -0.1, math.pi, 4.0])
     def test_cutoff_out_of_range(self, cutoff):
         with pytest.raises(ValueError):
