@@ -8,7 +8,8 @@ table with per-family pass counts.
 
 Exit codes: 0 when the run completed (a no-season result and a low
 pass rate are data, not errors), 2 on usage, input, or validation
-problems.
+problems. Every command reports a DetectionError, OSError or ValueError
+as one line, "error: <type>: <message>", on stderr.
 """
 
 from __future__ import annotations
@@ -82,6 +83,7 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
     header row is detected automatically: if the first row's selected
     cell does not parse as a number it is skipped. Blank lines are
     ignored, and a parse error names the file's physical line number.
+    The delimiter must be one character other than a line break.
 
     numpy.loadtxt parses the column. Where it rejects the data, the
     csv-module reader runs instead: it reports the line-numbered error,
@@ -90,6 +92,10 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
     quote character after the header always take the csv-module reader,
     since a quoted delimiter would shift loadtxt's columns.
     """
+    if len(delimiter) != 1 or delimiter in "\r\n":
+        raise ValueError(
+            f"delimiter must be one character other than a line break, got {delimiter!r}"
+        )
     path = Path(path)
     with path.open(newline="") as handle:
         text = handle.read()
@@ -162,12 +168,8 @@ def _config_from_args(args: argparse.Namespace) -> DetectionConfig:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    try:
-        series = read_series_csv(args.input, args.column, args.delimiter, args.delta)
-        result = detect_season_length(series, _config_from_args(args))
-    except (DetectionError, OSError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    series = read_series_csv(args.input, args.column, args.delimiter, args.delta)
+    result = detect_season_length(series, _config_from_args(args))
     diag = result.diagnostics
     payload = {
         "season_length": result.season_length,
@@ -209,18 +211,10 @@ def generate_suite(family: str, seed: int, outdir) -> Path:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.family != "all" and args.family not in FAMILY_NAMES:
-        print(
-            f"error: unknown family {args.family!r}; pick 'all' or one of "
-            f"{', '.join(FAMILY_NAMES)}",
-            file=sys.stderr,
+        raise ValueError(
+            f"unknown family {args.family!r}; pick 'all' or one of {', '.join(FAMILY_NAMES)}"
         )
-        return 2
-    try:
-        manifest = generate_suite(args.family, args.seed, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(manifest)
+    print(generate_suite(args.family, args.seed, args.out))
     return 0
 
 
@@ -320,13 +314,9 @@ def format_summary(summary: dict) -> str:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        records, summary = evaluate_manifest(
-            args.manifest, margin=args.margin, jobs=args.jobs, config=_config_from_args(args)
-        )
-    except (OSError, ValueError, DetectionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records, summary = evaluate_manifest(
+        args.manifest, margin=args.margin, jobs=args.jobs, config=_config_from_args(args)
+    )
     records_path = Path(args.out) if args.out else Path(args.manifest).parent / "records.jsonl"
     with records_path.open("w") as handle:
         for record in records:
@@ -385,7 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DetectionError, OSError, ValueError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Every type in this module is an immutable value object. Input is
 validated once, where it enters: TimeSeries checks the observations and
-DetectionConfig the tuning constants; later stages do not re-check their
-arguments.
+DetectionConfig the tuning constants; after that, detection checks only
+that the series is long enough. Stage functions that take a bare number
+or array still check it, so each stays callable on its own.
 
 DetectionError means the input data is bad, and each subclass names a
 condition a caller can act on. A bad argument raises ValueError.

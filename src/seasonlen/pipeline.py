@@ -25,13 +25,9 @@ from seasonlen.core import (
     TooShortError,
     ZeroVarianceError,
 )
-from seasonlen.detrend import fit_polynomial, polynomial_residual, remove_trend, select_trend_degree
-from seasonlen.preprocess import (
-    apply_filter,
-    design_butterworth_lowpass,
-    interpolate_linear,
-)
-from seasonlen.zerocross import ZeroAnalysis, estimate_from_zeros, find_zeros
+from seasonlen.detrend import polynomial_residual, select_trend_degree
+from seasonlen.preprocess import apply_filter, design_butterworth_lowpass, interpolate_linear
+from seasonlen.zerocross import estimate_from_zeros, find_zeros
 
 __all__ = [
     "detect_season_length",
@@ -45,24 +41,16 @@ __all__ = [
 MIN_SEASON = 2.0
 
 
-def _no_season(trend_degree: int, diagnostics: DetectionDiagnostics) -> DetectionResult:
-    return DetectionResult(
-        season_length=None,
-        unscaled_length=None,
-        trend_degree=trend_degree,
-        diagnostics=diagnostics,
-    )
-
-
-def _diagnostics(zero_count: int, analysis: ZeroAnalysis | None) -> DetectionDiagnostics:
-    if analysis is None:
-        return DetectionDiagnostics(zero_count=zero_count)
-    return DetectionDiagnostics(
-        zero_count=zero_count,
-        interval=analysis.interval,
-        member_count=analysis.member_count,
-        low_confidence=analysis.low_confidence,
-    )
+def _result(
+    degree: int,
+    diagnostics: DetectionDiagnostics = DetectionDiagnostics(),
+    season: float | None = None,
+    delta: float = 1.0,
+) -> DetectionResult:
+    """The result of every exit; a season below MIN_SEASON is no season."""
+    if season is None or season < MIN_SEASON:
+        return DetectionResult(None, None, degree, diagnostics)
+    return DetectionResult(season * delta, season, degree, diagnostics)
 
 
 def detect_season_length(
@@ -92,33 +80,31 @@ def detect_season_length(
     filtered = apply_filter(upsampled, filter_spec)
 
     if np.ptp(filtered.values) == 0.0:
-        return _no_season(1, DetectionDiagnostics())
+        return _result(1)
 
     degree = select_trend_degree(filtered, config.trend_log_threshold)
-    detrended = remove_trend(filtered, fit_polynomial(filtered, degree))
+    detrended = TimeSeries(polynomial_residual(filtered.values, degree)[1], filtered.delta)
 
     try:
         acf = autocorrelation(detrended)
     except ZeroVarianceError:
-        return _no_season(degree, DetectionDiagnostics())
+        return _result(degree)
     acf = detrend_acf(acf)
 
     zeros = find_zeros(acf, config.zero_tolerance_rel)
     if zeros.size < config.min_zero_count:
-        return _no_season(degree, DetectionDiagnostics(zero_count=int(zeros.size)))
+        return _result(degree, DetectionDiagnostics(zero_count=int(zeros.size)))
 
     season, analysis = estimate_from_zeros(
         zeros, config.quotient_threshold, config.interp_factor
     )
-    diagnostics = _diagnostics(int(zeros.size), analysis)
-    if season is None or season < MIN_SEASON:
-        return _no_season(degree, diagnostics)
-    return DetectionResult(
-        season_length=season * series.delta,
-        unscaled_length=season,
-        trend_degree=degree,
-        diagnostics=diagnostics,
+    diagnostics = DetectionDiagnostics(
+        zero_count=int(zeros.size),
+        interval=analysis.interval,
+        member_count=analysis.member_count,
+        low_confidence=analysis.low_confidence,
     )
+    return _result(degree, diagnostics, season, series.delta)
 
 
 def repeats_with_period(values: np.ndarray, period: int) -> bool:

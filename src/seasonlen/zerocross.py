@@ -37,23 +37,19 @@ class ZeroAnalysis:
     """Intermediate products of the distance segmentation.
 
     Attributes:
-        zeros: ascending zero positions, in upsampled lag units.
         raw_distances: differences between consecutive zeros.
         distances: ascending survivors after discarding distances <= 1.
-        quotients: ratios between consecutive sorted distances, or None
-            when fewer than two distances survived.
         change_points: indices where the quotient sequence jumps (1-based
             into distances), or None when segmentation was not reached.
         interval: selected half-open bounds (a, b], 1-based into
-            distances, or None.
+            distances, or None when segmentation was not reached or
+            found no stable run.
         member_count: number of distances behind the final estimate.
         low_confidence: True when only a single distance survived.
     """
 
-    zeros: np.ndarray
     raw_distances: np.ndarray
     distances: np.ndarray
-    quotients: np.ndarray | None = None
     change_points: np.ndarray | None = None
     interval: tuple[int, int] | None = None
     member_count: int = 0
@@ -209,49 +205,32 @@ def estimate_from_zeros(
 ) -> tuple[float | None, ZeroAnalysis]:
     """Run the distance segmentation and return the season estimate.
 
-    Handles the degenerate inputs the segmentation itself cannot: no
-    surviving distance means no season; a single distance yields a
-    low-confidence doubling; two distances are averaged when their
-    ratio stays within the quotient threshold of 1, otherwise the
-    smaller one wins. Three or more distances go through the full
-    quotient segmentation; if that collapses to a single change point
-    there is no stable interval and no season is reported.
+    Every estimate is season_from_interval over one window (a, b] of the
+    sorted surviving distances: (0, 1] for a single distance, or for two
+    whose ratio exceeds 1 + quotient_threshold (the smaller one wins);
+    (0, 2] for two closer distances; and the select_interval run of the
+    quotient segmentation for three or more. No window means no season:
+    no distance survived, or the change points collapsed to one. Only a
+    segmentation window is reported as the analysis' interval.
     """
     raw, cleaned = zero_distances(zeros)
-    if cleaned.size == 0:
-        return None, ZeroAnalysis(zeros, raw, cleaned)
-    if cleaned.size == 1:
-        season = 2.0 * float(cleaned[0]) / interp_factor
-        analysis = ZeroAnalysis(
-            zeros, raw, cleaned, member_count=1, low_confidence=True
-        )
-        return season, analysis
-    if cleaned.size == 2:
-        ratio = quotients(cleaned)
-        if ratio[0] - 1.0 <= quotient_threshold:
-            season = 2.0 * float(cleaned.sum()) / 2.0 / interp_factor
-            members = 2
-        else:
-            season = 2.0 * float(cleaned[0]) / interp_factor
-            members = 1
-        analysis = ZeroAnalysis(zeros, raw, cleaned, quotients=ratio, member_count=members)
-        return season, analysis
-    ratios = quotients(cleaned)
-    points = change_points(ratios, quotient_threshold)
-    if points.size < 2:
-        analysis = ZeroAnalysis(
-            zeros, raw, cleaned, quotients=ratios, change_points=points
-        )
-        return None, analysis
-    a, b = select_interval(points, cleaned)
-    season = season_from_interval(cleaned, a, b, interp_factor)
+    points = None
+    window = None
+    if cleaned.size >= 3:
+        points = change_points(quotients(cleaned), quotient_threshold)
+        if points.size >= 2:
+            window = select_interval(points, cleaned)
+    elif cleaned.size == 2 and quotients(cleaned)[0] - 1.0 <= quotient_threshold:
+        window = (0, 2)
+    elif cleaned.size > 0:
+        window = (0, 1)
+    season = None if window is None else season_from_interval(cleaned, *window, interp_factor)
     analysis = ZeroAnalysis(
-        zeros,
         raw,
         cleaned,
-        quotients=ratios,
         change_points=points,
-        interval=(a, b),
-        member_count=b - a,
+        interval=window if points is not None else None,
+        member_count=0 if window is None else window[1] - window[0],
+        low_confidence=cleaned.size == 1,
     )
     return season, analysis

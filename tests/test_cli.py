@@ -79,6 +79,13 @@ class TestReadSeriesCsv:
         series = read_series_csv(path, column="1", delimiter=";")
         assert np.array_equal(series.values, [5, 6, 7, 8])
 
+    @pytest.mark.parametrize("delimiter", [";;", "", "\n"], ids=["two", "empty", "newline"])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        path = tmp_path / "data.csv"
+        path.write_text("value\n1\n2\n3\n4\n")
+        with pytest.raises(ValueError, match=f"delimiter .* got {re.escape(repr(delimiter))}"):
+            read_series_csv(path, delimiter=delimiter)
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("value\n1.0\noops\n3.0\n")
@@ -225,6 +232,15 @@ class TestDetectCommand:
         code = main(["detect", "--input", str(tmp_path / "nope.csv")])
         assert code == 2
 
+    def test_bad_delimiter_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 24, 96)
+        code = main(["detect", "--input", str(path), "--delimiter", ";;"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ValueError: delimiter must be one character other than a line break, got ';;'\n"
+        )
+
     def test_white_noise_reports_null(self, tmp_path, capsys):
         path = tmp_path / "noise.csv"
         noise = np.random.default_rng(4).normal(0, 1, 600)
@@ -265,6 +281,7 @@ class TestGenCommand:
     def test_unknown_family_exits_2(self, tmp_path, capsys):
         code = main(["gen", "Mystery", "--out", str(tmp_path)])
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: ValueError: unknown family 'Mystery'")
 
 
 def test_seed7_records_keep_golden_detections(tmp_path):
@@ -334,6 +351,15 @@ class TestEvalCommand:
         manifest = tmp_path / "manifest.jsonl"
         manifest.write_text("not json\n")
         assert main(["eval", str(manifest)]) == 2
+        assert capsys.readouterr().err.startswith("error: ValueError: ")
+
+    def test_unwritable_records_path_exits_2(self, suite, tmp_path, capsys):
+        out = tmp_path / "missing" / "records.jsonl"
+        code = main(["eval", str(suite), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ")
+        assert err.count("\n") == 1
 
 
 def test_format_summary_shape():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seasonlen.autocorr import autocorrelation, detrend_acf
-from seasonlen.core import DetectionConfig, TooShortError, validate_series
+from seasonlen.core import DetectionConfig, DetectionDiagnostics, TooShortError, validate_series
 from seasonlen.detrend import fit_polynomial, remove_trend, select_trend_degree
 from seasonlen.pipeline import (
     MIN_SEASON,
@@ -82,6 +82,8 @@ class TestDetectSeasonLength:
     def test_constant_series_is_no_season(self):
         result = detect_season_length(validate_series([3.0] * 100))
         assert not result.is_seasonal
+        assert result.trend_degree == 1
+        assert result.diagnostics == DetectionDiagnostics()
 
     def test_white_noise_is_no_season(self):
         noise = np.random.default_rng(12).normal(0, 1, 600)
@@ -98,6 +100,9 @@ class TestDetectSeasonLength:
         )
         result = detect_season_length(sine_series(20, 800), config)
         assert not result.is_seasonal
+        assert result.diagnostics.zero_count > 0
+        assert result.diagnostics.interval is None
+        assert result.diagnostics.member_count == 0
 
     def test_quadratic_false_positive_mechanism(self):
         # Dense zeros one lag apart: every distance fails the "longer than
