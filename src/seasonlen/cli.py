@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -76,12 +77,18 @@ def _score(detected: float | None, reference: object, margin: float) -> tuple[fl
     return error, error <= margin
 
 
+#: A cell that starts like a number; in the first row it is data, not a header.
+_NUMBER_START = re.compile(r"\s*[+-]?(\d|\.\d)")
+
+
 def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float = 1.0):
     """Read one numeric column from a CSV file.
 
     The column is selected by zero-based index or by header name. A
     header row is detected automatically: if the first row's selected
-    cell does not parse as a number it is skipped. Blank lines are
+    cell does not parse as a number it is skipped, unless it starts like
+    one (a digit, or a sign or point before one), which is a parse error
+    on that line. Blank lines are
     ignored, and a parse error names the file's physical line number.
     The delimiter must be one character other than a line break.
 
@@ -100,7 +107,8 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
     with path.open(newline="") as handle:
         text = handle.read()
     buffer = io.StringIO(text, newline="")
-    first = next((row for row in csv.reader(buffer, delimiter=delimiter) if row), None)
+    rows = csv.reader(buffer, delimiter=delimiter)
+    first = next((row for row in rows if row), None)
     if first is None:
         raise ValueError(f"{path}: file contains no data")
 
@@ -115,8 +123,13 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
         try:
             float(first[index])
             has_header = False
-        except (ValueError, IndexError):
+        except IndexError:
             pass
+        except ValueError as exc:
+            if _NUMBER_START.match(first[index]):
+                raise ValueError(
+                    f"{path}:{rows.line_num}: cannot read column {column!r}: {exc}"
+                ) from exc
 
     start = buffer.tell() if has_header else 0
     values = None

@@ -3,8 +3,12 @@
 Every type in this module is an immutable value object. Input is
 validated once, where it enters: TimeSeries checks the observations and
 DetectionConfig the tuning constants; after that, detection checks only
-that the series is long enough. Stage functions that take a bare number
-or array still check it, so each stays callable on its own.
+that the series is long enough, and works on plain arrays it owns
+without re-validating them. Two checks of values it computes anyway,
+the range of the filtered series and the autocorrelation at lag 0,
+raise NonFiniteError when huge input overflows. Stage functions that
+take a bare number or array still check it, so each stays callable on
+its own; each wraps its output in a new TimeSeries.
 
 DetectionError means the input data is bad, and each subclass names a
 condition a caller can act on. A bad argument raises ValueError.
@@ -49,6 +53,16 @@ class NonFiniteError(DetectionError):
     def __init__(self, index: int) -> None:
         super().__init__(f"non-finite value at index {index}")
         self.index = index
+
+
+def _nonfinite_error(values: np.ndarray) -> NonFiniteError:
+    """NonFiniteError at the first NaN or infinity in values.
+
+    Index 0 stands for a result that overflowed although every value
+    behind it is finite, such as the range or the sum of huge values.
+    """
+    bad = np.flatnonzero(~np.isfinite(values))
+    return NonFiniteError(int(bad[0]) if bad.size else 0)
 
 
 class NonPositiveDeltaError(DetectionError):

@@ -11,10 +11,13 @@ over the series divided by a closed-form power sum of t:
 The quadratic term's share of the squared error is exactly
 c2**2 * sum(q**2), which is all degree selection needs. The reductions
 are numpy.einsum sums of products, which make no BLAS call and start no
-threads, and the trend is evaluated by Horner's rule in place: besides
-its result, a stage allocates only the index t. Coefficients are
-reported in the basis of design_matrix, which defines them but is never
-built on this path.
+threads. The trend is subtracted in place, block by block, with Horner's
+rule in a cache-sized work array; the quadratic sum centres x in a
+temporary. Detection selects the degree and removes the trend in one
+call that builds t, the mean and sum(q*x) once; the exported functions
+copy their input and run the same code. Coefficients are reported in
+the basis of design_matrix, which defines them but is never built on
+this path.
 """
 
 from __future__ import annotations
@@ -50,6 +53,11 @@ class TrendModel:
     degree: int
     coefficients: np.ndarray
     cost: float
+
+
+#: Samples per block of the in-place trend subtraction: 16384 float64
+#: values of t and of the trend take 128 KiB each, small enough for L2.
+_BLOCK = 1 << 14
 
 
 def _check_degree(n: int, degree: int) -> None:
@@ -105,14 +113,60 @@ def design_matrix(n: int, degree: int) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def _subtract_trend(x: np.ndarray, t: np.ndarray, coefficients) -> np.ndarray:
-    """x minus the polynomial with design_matrix coefficients at t, as a new array."""
-    out = np.multiply(t, coefficients[-1])
-    out += coefficients[-2]
-    if len(coefficients) == 3:
-        out *= t
-        out += coefficients[0]
-    return np.subtract(x, out, out=out)
+def _degree(inner: float, n: int, k_trend: float) -> int:
+    """Trend degree from sum(q*x): 2 when log(sum(q*x)**2 / sum(q**2)) > k_trend."""
+    c2 = inner / _q_squared_sum(n)
+    gap = c2 * inner
+    if gap <= 0.0:
+        return 1
+    return 2 if math.log(gap) > k_trend else 1
+
+
+def _coefficients(
+    x: np.ndarray, t: np.ndarray, degree: int, mean: float, inner: float | None = None
+) -> tuple[float, ...]:
+    """design_matrix coefficients of the fit, from mean(x) and, if known, sum(q*x)."""
+    n = x.size
+    c1 = float(np.einsum("i,i->", t, x)) / _t_squared_sum(n)
+    if degree == 1:
+        return mean, c1
+    if inner is None:
+        inner = _quadratic_inner(x, t, mean)
+    c2 = inner / _q_squared_sum(n)
+    return mean - c2 * _t_squared_sum(n) / n, c1, c2
+
+
+def _subtract_trend_in_place(x: np.ndarray, t: np.ndarray, coefficients) -> None:
+    """x -= the polynomial with design_matrix coefficients at t, one block at a time.
+
+    Each block's trend is evaluated by Horner's rule in a block-sized
+    work array, so the passes over it stay in cache; every value is
+    rounded exactly as a whole-array evaluation rounds it.
+    """
+    work = np.empty(min(_BLOCK, x.size), dtype=np.float64)
+    for start in range(0, x.size, _BLOCK):
+        tb = t[start:start + _BLOCK]
+        trend = work[: tb.size]
+        np.multiply(tb, coefficients[-1], out=trend)
+        trend += coefficients[-2]
+        if len(coefficients) == 3:
+            trend *= tb
+            trend += coefficients[0]
+        x[start:start + _BLOCK] -= trend
+
+
+def _detrend_in_place(x: np.ndarray, k_trend: float) -> tuple[int, np.ndarray]:
+    """select_trend_degree, then that degree's residual written over x.
+
+    Selection and fit share one index t, one mean and one sum(q*x).
+    Returns the degree and t, which any later fit of this length reuses.
+    """
+    t = _centered_index(x.size)
+    mean = float(x.mean())
+    inner = _quadratic_inner(x, t, mean)
+    degree = _degree(inner, x.size, k_trend)
+    _subtract_trend_in_place(x, t, _coefficients(x, t, degree, mean, inner))
+    return degree, t
 
 
 def polynomial_residual(values: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -128,14 +182,10 @@ def polynomial_residual(values: np.ndarray, degree: int) -> tuple[np.ndarray, np
     n = values.size
     _check_degree(n, degree)
     t = _centered_index(n)
-    c0 = float(values.mean())
-    c1 = float(np.einsum("i,i->", t, values)) / _t_squared_sum(n)
-    if degree == 1:
-        coefficients = (c0, c1)
-    else:
-        c2 = _quadratic_inner(values, t, c0) / _q_squared_sum(n)
-        coefficients = (c0 - c2 * _t_squared_sum(n) / n, c1, c2)
-    return np.array(coefficients), _subtract_trend(values, t, coefficients)
+    coefficients = _coefficients(values, t, degree, float(values.mean()))
+    residual = np.array(values, dtype=np.float64)
+    _subtract_trend_in_place(residual, t, coefficients)
+    return np.array(coefficients), residual
 
 
 def fit_polynomial(series: TimeSeries, degree: int) -> TrendModel:
@@ -163,15 +213,11 @@ def select_trend_degree(series: TimeSeries, k_trend: float) -> int:
     """
     x = series.values
     _check_degree(x.size, 2)
-    inner = _quadratic_inner(x, _centered_index(x.size), float(x.mean()))
-    c2 = inner / _q_squared_sum(x.size)
-    gap = c2 * inner
-    if gap <= 0.0:
-        return 1
-    return 2 if math.log(gap) > k_trend else 1
+    return _degree(_quadratic_inner(x, _centered_index(x.size), float(x.mean())), x.size, k_trend)
 
 
 def remove_trend(series: TimeSeries, model: TrendModel) -> TimeSeries:
     """Subtract the trend values, evaluated on the series' own time index."""
-    residual = _subtract_trend(series.values, _centered_index(len(series)), model.coefficients)
+    residual = series.values.copy()
+    _subtract_trend_in_place(residual, _centered_index(residual.size), model.coefficients)
     return TimeSeries(residual, series.delta)

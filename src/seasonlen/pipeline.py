@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from seasonlen.autocorr import autocorrelation, detrend_acf
+from seasonlen.autocorr import _autocorrelation_in_place, _detrend_acf_in_place
 from seasonlen.core import (
     DetectionConfig,
     DetectionDiagnostics,
@@ -24,10 +24,11 @@ from seasonlen.core import (
     TimeSeries,
     TooShortError,
     ZeroVarianceError,
+    _nonfinite_error,
 )
-from seasonlen.detrend import polynomial_residual, select_trend_degree
-from seasonlen.preprocess import apply_filter, design_butterworth_lowpass, interpolate_linear
-from seasonlen.zerocross import estimate_from_zeros, find_zeros
+from seasonlen.detrend import _detrend_in_place, polynomial_residual
+from seasonlen.preprocess import _filter_in_place, _upsample, design_butterworth_lowpass
+from seasonlen.zerocross import _find_zeros, estimate_from_zeros
 
 __all__ = [
     "detect_season_length",
@@ -67,6 +68,8 @@ def detect_season_length(
     Raises:
         TooShortError: fewer than 4 observations, or too few for the
             filter edges once upsampled.
+        NonFiniteError: values so large that the filtered series, its
+            range or its autocorrelation overflows.
     """
     if config is None:
         config = DetectionConfig()
@@ -75,23 +78,27 @@ def detect_season_length(
             f"detection needs at least {MIN_DETECTION_LENGTH} observations, got {len(series)}"
         )
 
-    upsampled = interpolate_linear(series, config.interp_factor)
-    filter_spec = design_butterworth_lowpass(config.filter_order, config.filter_cutoff)
-    filtered = apply_filter(upsampled, filter_spec)
+    # One buffer carries the series from upsampling to the autocorrelation;
+    # each stage kernel overwrites it, and the trend's index t is reused
+    # for the line fit of the autocorrelation, which has the same length.
+    values = _upsample(series.values, config.interp_factor)
+    _filter_in_place(values, design_butterworth_lowpass(config.filter_order, config.filter_cutoff))
 
-    if np.ptp(filtered.values) == 0.0:
+    spread = np.ptp(values)
+    if not np.isfinite(spread):
+        raise _nonfinite_error(values)
+    if spread == 0.0:
         return _result(1)
 
-    degree = select_trend_degree(filtered, config.trend_log_threshold)
-    detrended = TimeSeries(polynomial_residual(filtered.values, degree)[1], filtered.delta)
+    degree, t = _detrend_in_place(values, config.trend_log_threshold)
 
     try:
-        acf = autocorrelation(detrended)
+        _autocorrelation_in_place(values)
     except ZeroVarianceError:
         return _result(degree)
-    acf = detrend_acf(acf)
+    _detrend_acf_in_place(values, t)
 
-    zeros = find_zeros(acf, config.zero_tolerance_rel)
+    zeros = _find_zeros(values, config.zero_tolerance_rel)
     if zeros.size < config.min_zero_count:
         return _result(degree, DetectionDiagnostics(zero_count=int(zeros.size)))
 

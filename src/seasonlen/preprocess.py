@@ -55,17 +55,24 @@ def interpolate_linear(series: TimeSeries, factor: int) -> TimeSeries:
     """
     if factor != int(factor) or factor < 1:
         raise ValueError(f"interpolation factor must be a positive integer, got {factor}")
-    factor = int(factor)
     if factor == 1:
         return series
-    x = series.values
+    return TimeSeries(_upsample(series.values, int(factor)), series.delta / factor)
+
+
+def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
+    """interpolate_linear on a plain array, always into a new array the caller owns."""
+    if factor == 1:
+        return x.copy()
     n = x.size
     out = np.empty(factor * (n - 1) + 1, dtype=np.float64)
     out[::factor] = x
     step = x[1:] - x[:-1]
     for offset in range(1, factor):
-        out[offset::factor] = x[:-1] + (offset / factor) * step
-    return TimeSeries(out, series.delta / factor)
+        inserted = out[offset::factor]
+        np.multiply(step, offset / factor, out=inserted)
+        inserted += x[:-1]
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -103,15 +110,30 @@ def apply_filter(series: TimeSeries, spec: FilterSpec) -> TimeSeries:
     Raises:
         TooShortError: fewer than 6*order+1 samples.
     """
-    x = series.values
+    values = series.values.copy()
+    _filter_in_place(values, spec)
+    return TimeSeries(values, series.delta)
+
+
+def _filter_in_place(x: np.ndarray, spec: FilterSpec) -> None:
+    """apply_filter on a plain array, overwriting it with the filtered values.
+
+    The array is centred on its first sample in place. The backward pass
+    returns a reversed view; the result is copied back into x, so it is
+    C-contiguous, which keeps later einsum sums identical to those over
+    a fresh array.
+
+    Raises:
+        TooShortError: fewer than 6*order+1 samples.
+    """
     if x.size <= 6 * spec.order:
         raise TooShortError(
             f"filter of order {spec.order} needs more than {6 * spec.order} samples, "
             f"got {x.size}"
         )
-    out = signal.sosfiltfilt(spec.sos, x - x[0], padtype=None)
-    out += x[0]
-    return TimeSeries(out, series.delta)
+    first = x[0]
+    x -= first
+    np.add(signal.sosfiltfilt(spec.sos, x, padtype=None), first, out=x)
 
 
 def magnitude_response(spec: FilterSpec, omegas) -> np.ndarray:

@@ -71,14 +71,19 @@ def find_zeros(acf: TimeSeries, epsilon_rel: float) -> np.ndarray:
     """
     if epsilon_rel < 0:
         raise ValueError(f"epsilon_rel must be >= 0, got {epsilon_rel}")
-    v = acf.values
+    return _find_zeros(acf.values, epsilon_rel)
+
+
+def _find_zeros(v: np.ndarray, epsilon_rel: float) -> np.ndarray:
+    """find_zeros on a plain array of autocorrelation values."""
     tolerance = epsilon_rel * (v.max() - v.min())
 
     product = v[:-1] * v[1:]
     cross_idx = np.flatnonzero(product < 0.0)
     crossings = cross_idx + v[cross_idx] / (v[cross_idx] - v[cross_idx + 1])
 
-    inside = np.abs(v) <= tolerance
+    # Two comparisons, not np.abs(v) <= tolerance: no float temporary of v's size.
+    inside = (v >= -tolerance) & (v <= tolerance)
     edges = np.diff(inside.astype(np.int8))
     starts = np.flatnonzero(edges == 1) + 1
     ends = np.flatnonzero(edges == -1)

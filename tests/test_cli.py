@@ -104,6 +104,23 @@ class TestReadSeriesCsv:
         with pytest.raises(ValueError, match=r"bad\.csv:6:"):
             read_series_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("1.5x\n0\n0\n0\n0\n", 1), ("\n-.5.5\n0\n0\n0\n0\n", 2), ("+2e\n0\n0\n0\n0\n", 1)],
+        ids=["trailing-letter", "after-blank-line", "bare-exponent"],
+    )
+    def test_malformed_first_number_is_not_a_header(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"bad\.csv:{line}: cannot read column '0'"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("name", ["value", "x1", "-", ".", "+inf_count"])
+    def test_first_cell_that_does_not_start_like_a_number_is_a_header(self, tmp_path, name):
+        path = tmp_path / "named.csv"
+        path.write_text(f"{name}\n1\n2\n3\n4\n")
+        assert read_series_csv(path).values.tolist() == [1, 2, 3, 4]
+
     def test_header_only_file_is_too_short(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("value\n\n")
@@ -147,9 +164,7 @@ def csv_files(draw, bad_cell):
     header = draw(st.booleans())
     rows = draw(st.lists(st.lists(CELL, min_size=width, max_size=width), min_size=4, max_size=30))
     blank_before = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
-    # Without a header, a bad first row would be taken for one.
-    first = 0 if header else 1
-    bad_row = draw(st.integers(min_value=first, max_value=len(rows) - 1)) if bad_cell else None
+    bad_row = draw(st.integers(min_value=0, max_value=len(rows) - 1)) if bad_cell else None
     lines = [delimiter.join(f"c{i}" for i in range(width))] if header else []
     bad_line = None
     for i, (row, blank) in enumerate(zip(rows, blank_before)):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seasonlen.core import TimeSeries, validate_series
 from seasonlen.detrend import (
@@ -136,21 +136,32 @@ trend_series = st.builds(
 )
 
 
+#: Absolute floor of the coefficient tolerance. Below the normal range
+#: round-off is absolute, one subnormal spacing (5e-324) per operation, and
+#: dividing by sum(q**2) amplifies it to about 120 spacings in c2 (seen on
+#: 3-sample subnormal data); 1e-9 of such data underflows to 0.
+SUBNORMAL_ATOL = 1024 * np.finfo(np.float64).smallest_subnormal
+
+
 class TestProjectionMatchesLstsq:
     """The orthogonal projection against a solver that shares none of its code.
 
     Tolerances are 1e-9 relative, with an absolute floor of 1e-9 of the
     data's magnitude per residual, far above the float64 round-off of
-    either method on these small, well-conditioned bases.
+    either method on these small, well-conditioned bases; for
+    coefficients that floor is at least SUBNORMAL_ATOL.
     """
 
     @given(x=trend_series, degree=st.sampled_from([1, 2]))
+    @example(x=np.array([0.0, 0.0, 5e-324]), degree=1)
+    @example(x=np.array([0.0, 0.0, 5e-324]), degree=2)
     @settings(max_examples=60, deadline=None)
     def test_coefficients_and_cost(self, x, degree):
         scale = float(np.abs(x).max()) or 1.0
         model = fit_polynomial(TimeSeries(x), degree)
         coefficients, cost = lstsq_fit(x, degree)
-        np.testing.assert_allclose(model.coefficients, coefficients, rtol=1e-9, atol=1e-9 * scale)
+        np.testing.assert_allclose(model.coefficients, coefficients, rtol=1e-9,
+                                   atol=max(1e-9 * scale, SUBNORMAL_ATOL))
         assert model.cost == pytest.approx(cost, rel=1e-9, abs=(1e-9 * scale) ** 2)
 
     @given(x=trend_series)

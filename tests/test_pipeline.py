@@ -1,13 +1,22 @@
 """End-to-end detection, the exact oracle, and the baseline detector."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seasonlen.autocorr import autocorrelation, detrend_acf
-from seasonlen.core import DetectionConfig, DetectionDiagnostics, TooShortError, validate_series
+from seasonlen.core import (
+    DetectionConfig,
+    DetectionDiagnostics,
+    DetectionResult,
+    NonFiniteError,
+    TooShortError,
+    ZeroVarianceError,
+    validate_series,
+)
 from seasonlen.detrend import fit_polynomial, remove_trend, select_trend_degree
 from seasonlen.pipeline import (
     MIN_SEASON,
@@ -18,6 +27,7 @@ from seasonlen.pipeline import (
     repeats_with_period,
 )
 from seasonlen.preprocess import apply_filter, design_butterworth_lowpass, interpolate_linear
+from seasonlen.synthgen import FAMILY_NAMES, gen_family
 from seasonlen.zerocross import estimate_from_zeros, find_zeros
 
 PATTERN = [0, 2, 1, 2]
@@ -38,19 +48,30 @@ def admitting_config(period, **overrides):
 
 
 def chained_stages(series, config):
-    """(unscaled_length, trend_degree, zero_count) from the exported stages, called in turn."""
+    """The DetectionResult of the exported stages, called in turn on TimeSeries."""
     upsampled = interpolate_linear(series, config.interp_factor)
     spec = design_butterworth_lowpass(config.filter_order, config.filter_cutoff)
     filtered = apply_filter(upsampled, spec)
+    if np.ptp(filtered.values) == 0.0:
+        return DetectionResult(None, None, 1)
     degree = select_trend_degree(filtered, config.trend_log_threshold)
     detrended = remove_trend(filtered, fit_polynomial(filtered, degree))
-    zeros = find_zeros(detrend_acf(autocorrelation(detrended)), config.zero_tolerance_rel)
+    try:
+        acf = autocorrelation(detrended)
+    except ZeroVarianceError:
+        return DetectionResult(None, None, degree)
+    zeros = find_zeros(detrend_acf(acf), config.zero_tolerance_rel)
     if zeros.size < config.min_zero_count:
-        return None, degree, int(zeros.size)
-    season, _ = estimate_from_zeros(zeros, config.quotient_threshold, config.interp_factor)
+        return DetectionResult(None, None, degree, DetectionDiagnostics(zero_count=zeros.size))
+    season, analysis = estimate_from_zeros(zeros, config.quotient_threshold, config.interp_factor)
+    diagnostics = DetectionDiagnostics(zeros.size, analysis.interval, analysis.member_count,
+                                       analysis.low_confidence)
     if season is None or season < MIN_SEASON:
-        season = None
-    return season, degree, int(zeros.size)
+        return DetectionResult(None, None, degree, diagnostics)
+    return DetectionResult(season * series.delta, season, degree, diagnostics)
+
+
+SEED7_CASES = [case for name in FAMILY_NAMES for case in gen_family(name, 7)]
 
 
 class TestDetectSeasonLength:
@@ -147,10 +168,64 @@ class TestDetectSeasonLength:
         # A stage-by-stage replay reproduces detect_season_length exactly
         # only while it calls the same exported stages in the same order.
         result = detect_season_length(series, config)
-        expected = (result.unscaled_length, result.trend_degree, result.diagnostics.zero_count)
-        assert chained_stages(series, config) == expected
+        assert chained_stages(series, config) == result
         assert result.trend_degree == degree
         assert result.is_seasonal == seasonal
+
+    @pytest.mark.parametrize(
+        "config",
+        [DetectionConfig(), DetectionConfig(filter_cutoff=0.05 * math.pi),
+         DetectionConfig(filter_order=5), DetectionConfig(interp_factor=1)],
+        ids=["default", "cutoff-0.05pi", "order-5", "factor-1"],
+    )
+    def test_seed7_suite_equals_chained_stages_bit_for_bit(self, config):
+        # detect_season_length overwrites one buffer in place; the exported
+        # stages copy before each kernel. Both must give the same floats,
+        # and the caller's array must come back untouched.
+        for series, _, label in SEED7_CASES:
+            before = series.values.copy()
+            result = detect_season_length(series, config)
+            assert result == chained_stages(series, config), label
+            assert series.values.tobytes() == before.tobytes(), label
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.tile([1e308, -1e308], 200),
+         1.5e308 * np.sin(2 * np.pi * np.arange(2000) / 100)],
+        ids=["alternating-1e308", "sine-1.5e308"],
+    )
+    def test_overflow_raises_non_finite(self, values):
+        # Upsampling the first overflows the differences between
+        # neighbours; the second's range and sum overflow. Either way the
+        # stages compute infinities from finite input, which must not end
+        # in a silent no-season result.
+        series = validate_series(values)
+        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError):
+            detect_season_length(series)
+
+    def test_overflowing_mean_is_caught_at_the_autocorrelation(self):
+        # A range that fits in float64 passes the filter check, but the
+        # sum behind the mean overflows and turns the residual into NaN.
+        values = 1e308 + 1e306 * np.sin(2 * np.pi * np.arange(2000) / 100)
+        series = validate_series(values)
+        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError):
+            detect_season_length(series)
+
+    def test_peak_traced_memory_stays_under_seven_upsampled_arrays(self):
+        # One buffer runs from upsampling to the autocorrelation; the peak
+        # is reached in the FFTs (buffer, index t, zero-padded input and
+        # complex spectrum, 6 arrays' worth). Re-wrapping every stage
+        # output took it to 9.
+        n = 100_000
+        series = sine_series(1000, n, noise=0.5, seed=0)
+        detect_season_length(series)
+        tracemalloc.start()
+        try:
+            detect_season_length(series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 8 * (4 * (n - 1) + 1)
 
     @pytest.mark.parametrize(
         "amplitude, offset, period, n",
