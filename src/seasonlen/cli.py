@@ -1,10 +1,11 @@
 """Command line interface: detect, eval, and gen subcommands.
 
 detect reads one numeric CSV column and prints a JSON result. gen
-writes a benchmark suite (one CSV per case plus a JSON-lines manifest).
-eval runs both the detector and the periodogram baseline over a
-manifest, writes per-case records as JSON lines, and prints a summary
-table with per-family pass counts.
+builds every case of a benchmark suite, then writes it (one CSV per
+case plus a JSON-lines manifest), so a gen that fails writes nothing.
+eval checks every manifest line, runs both the detector and the
+periodogram baseline over the cases, writes per-case records as JSON
+lines, and prints a summary table with per-family pass counts.
 
 Exit codes: 0 when the run completed (a no-season result and a low
 pass rate are data, not errors), 2 on usage, input, or validation
@@ -18,11 +19,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -68,11 +71,9 @@ class EvalRecord:
 
 
 def _score(detected: float | None, reference: object, margin: float) -> tuple[float | None, bool]:
-    if reference is None:
-        return None, detected is None
-    refs = reference if isinstance(reference, (list, tuple)) else (reference,)
-    if detected is None:
-        return None, False
+    if reference is None or detected is None:
+        return None, reference is None and detected is None
+    refs = reference if isinstance(reference, list) else (reference,)
     error = min(abs(detected - r) / r for r in refs)
     return error, error <= margin
 
@@ -92,12 +93,13 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
     ignored, and a parse error names the file's physical line number.
     The delimiter must be one character other than a line break.
 
-    numpy.loadtxt parses the column. Where it rejects the data, the
-    csv-module reader runs instead: it reports the line-numbered error,
-    or accepts the cells that float() takes and loadtxt does not (such
-    as 1_0, or lines ending in a bare carriage return). Files with a
-    quote character after the header always take the csv-module reader,
-    since a quoted delimiter would shift loadtxt's columns.
+    numpy.loadtxt parses the column. Where it rejects the data, a
+    csv-module reader reads on from the end of the header instead: it
+    reports the line-numbered error, or accepts the cells that float()
+    takes and loadtxt does not (such as 1_0, or lines ending in a bare
+    carriage return). Files with a quote character after the header
+    always take the csv-module reader, since a quoted delimiter would
+    shift loadtxt's columns.
     """
     if len(delimiter) != 1 or delimiter in "\r\n":
         raise ValueError(
@@ -113,7 +115,7 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
         raise ValueError(f"{path}: file contains no data")
 
     index: int | None = int(column) if column.lstrip("-").isdigit() else None
-    has_header = True
+    header_lines = rows.line_num
     if index is None:
         header = [cell.strip() for cell in first]
         if column not in header:
@@ -122,16 +124,14 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
     else:
         try:
             float(first[index])
-            has_header = False
+            header_lines = 0
         except IndexError:
             pass
-        except ValueError as exc:
+        except ValueError:
             if _NUMBER_START.match(first[index]):
-                raise ValueError(
-                    f"{path}:{rows.line_num}: cannot read column {column!r}: {exc}"
-                ) from exc
+                header_lines = 0  # a malformed number: the data parse reports it
 
-    start = buffer.tell() if has_header else 0
+    start = buffer.tell() if header_lines else 0
     values = None
     if text.find('"', start) < 0:
         buffer.seek(start)
@@ -144,29 +144,17 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
         except ValueError:
             pass
     if values is None:
-        buffer.seek(0)
-        values = _read_column(buffer, column, index, delimiter, has_header, path)
+        buffer.seek(start)
+        rows = csv.reader(buffer, delimiter=delimiter)
+        values = []
+        for row in filter(None, rows):
+            try:
+                values.append(float(row[index]))
+            except (ValueError, IndexError) as exc:
+                raise ValueError(
+                    f"{path}:{header_lines + rows.line_num}: cannot read column {column!r}: {exc}"
+                ) from exc
     return validate_series(values, delta)
-
-
-def _read_column(lines, column: str, index: int, delimiter: str, has_header: bool,
-                 path: Path) -> list[float]:
-    """float() of the selected cell of every non-blank row, after the header if any."""
-    rows = csv.reader(lines, delimiter=delimiter)
-    values = []
-    for row in rows:
-        if not row:
-            continue
-        if has_header:
-            has_header = False
-            continue
-        try:
-            values.append(float(row[index]))
-        except (ValueError, IndexError) as exc:
-            raise ValueError(
-                f"{path}:{rows.line_num}: cannot read column {column!r}: {exc}"
-            ) from exc
-    return values
 
 
 def _config_from_args(args: argparse.Namespace) -> DetectionConfig:
@@ -202,18 +190,15 @@ def generate_suite(family: str, seed: int, outdir) -> Path:
     rewrites byte-identical files.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     names = FAMILY_NAMES if family == "all" else (family,)
+    families = {name: gen_family(name, seed) for name in names}
     entries = []
-    for name in names:
-        family_dir = outdir / name
-        family_dir.mkdir(parents=True, exist_ok=True)
-        for series, reference, label in gen_family(name, seed):
+    for name, cases in families.items():
+        (outdir / name).mkdir(parents=True, exist_ok=True)
+        for series, reference, label in cases:
             rel = f"{name}/{label}.csv"
             with (outdir / rel).open("w", newline="") as handle:
                 handle.write("value\n" + "".join(f"{v!r}\n" for v in series.values.tolist()))
-            if isinstance(reference, tuple):
-                reference = list(reference)
             entries.append({"path": rel, "reference": reference, "family": name, "case": label})
     manifest = outdir / "manifest.jsonl"
     with manifest.open("w") as handle:
@@ -223,12 +208,21 @@ def generate_suite(family: str, seed: int, outdir) -> Path:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.family != "all" and args.family not in FAMILY_NAMES:
-        raise ValueError(
-            f"unknown family {args.family!r}; pick 'all' or one of {', '.join(FAMILY_NAMES)}"
-        )
     print(generate_suite(args.family, args.seed, args.out))
     return 0
+
+
+def _is_entry(entry) -> bool:
+    """An object with string path, family and case and a null or positive reference."""
+    if not isinstance(entry, dict) or not all(
+        isinstance(entry.get(key), str) for key in ("path", "family", "case")
+    ):
+        return False
+    reference = entry.get("reference", [])
+    refs = reference if isinstance(reference, list) else [reference]
+    return reference is None or bool(refs) and all(
+        type(r) in (int, float) and 0 < r < math.inf for r in refs
+    )
 
 
 def _evaluate_case(entry: dict, base: str, margin: float, config: DetectionConfig) -> EvalRecord:
@@ -265,6 +259,9 @@ def evaluate_manifest(
 
     Cases may be evaluated in parallel; records come back sorted by
     case id, so serial and parallel runs produce identical output.
+
+    Raises:
+        ValueError: a line is not JSON, or not an entry as _is_entry says.
     """
     manifest_path = Path(manifest_path)
     entries = []
@@ -274,36 +271,32 @@ def evaluate_manifest(
             if not line:
                 continue
             try:
-                entries.append(json.loads(line))
+                entry = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{manifest_path}:{lineno}: bad manifest line: {exc}") from exc
+            if not _is_entry(entry):
+                raise ValueError(
+                    f"{manifest_path}:{lineno}: want an object with string path, family and case"
+                    " and a reference that is null, a positive number or a non-empty list of them"
+                )
+            entries.append(entry)
 
-    if config is None:
-        config = DetectionConfig()
-    base = str(manifest_path.parent)
+    evaluate = partial(_evaluate_case, base=str(manifest_path.parent), margin=margin,
+                       config=DetectionConfig() if config is None else config)
     if jobs > 1 and len(entries) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(
-                pool.map(_evaluate_case, entries, [base] * len(entries),
-                         [margin] * len(entries), [config] * len(entries))
-            )
+            records = list(pool.map(evaluate, entries))
     else:
-        records = [_evaluate_case(entry, base, margin, config) for entry in entries]
+        records = list(map(evaluate, entries))
     records.sort(key=lambda r: r.case)
 
     families: dict[str, dict[str, int]] = {}
+    total = {"cases": 0, "detector_passed": 0, "baseline_passed": 0}
     for record in records:
-        row = families.setdefault(
-            record.family, {"cases": 0, "detector_passed": 0, "baseline_passed": 0}
-        )
-        row["cases"] += 1
-        row["detector_passed"] += int(record.passed)
-        row["baseline_passed"] += int(record.baseline_passed)
-    total = {
-        "cases": len(records),
-        "detector_passed": sum(int(r.passed) for r in records),
-        "baseline_passed": sum(int(r.baseline_passed) for r in records),
-    }
+        for row in (families.setdefault(record.family, dict.fromkeys(total, 0)), total):
+            row["cases"] += 1
+            row["detector_passed"] += int(record.passed)
+            row["baseline_passed"] += int(record.baseline_passed)
     summary = {"families": families, "total": total}
     return records, summary
 

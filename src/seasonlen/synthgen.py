@@ -4,7 +4,9 @@ Seven families cover the evaluation axes: widely varied but clean
 seasonality, corrupted seasonality (outliers, drifting amplitude,
 broken cycles), ambiguous cases with more than one acceptable answer,
 base series under small variations, a noise ladder, a period sweep,
-and series with no season at all.
+and series with no season at all. Each family builder yields (label
+suffix, recipe, reference) per case, the recipe being a SeriesSpec or
+finished values; gen_family alone builds and labels the series.
 
 All randomness flows through the Philox 4x64 counter-based generator
 keyed by the case seed, so every case is bit-identical across runs and
@@ -14,6 +16,7 @@ platforms.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,16 +28,6 @@ __all__ = ["SeriesSpec", "generate", "gen_family", "FAMILY_NAMES", "FAMILY_SIZES
 
 PATTERNS = ("sinusoid", "tile", "two_sinusoids")
 
-FAMILY_NAMES = (
-    "Diverse",
-    "Complex",
-    "Ambiguous",
-    "Variations",
-    "Noise",
-    "Length",
-    "NoSeason",
-)
-
 #: Case counts per family; the last three are fixed at 10 by convention.
 FAMILY_SIZES = {
     "Diverse": 20,
@@ -45,6 +38,11 @@ FAMILY_SIZES = {
     "Length": 10,
     "NoSeason": 10,
 }
+
+FAMILY_NAMES = tuple(FAMILY_SIZES)
+
+#: What a family builder yields for each case: label suffix, recipe, reference.
+Recipes = Iterator[tuple[str, "SeriesSpec | np.ndarray", object]]
 
 
 @dataclass(frozen=True)
@@ -123,8 +121,6 @@ class SeriesSpec:
 def _seasonal_component(spec: SeriesSpec, t: np.ndarray) -> np.ndarray:
     if spec.period is None:
         return np.zeros(spec.length)
-    if spec.pattern == "sinusoid":
-        return spec.amplitude * np.sin(2.0 * math.pi * t / spec.period)
     if spec.pattern == "tile":
         block = np.asarray(spec.tile, dtype=np.float64) * spec.amplitude
         if is_repetition_of_shorter(block):
@@ -132,8 +128,13 @@ def _seasonal_component(spec: SeriesSpec, t: np.ndarray) -> np.ndarray:
         reps = -(-spec.length // block.size)
         return np.tile(block, reps)[: spec.length]
     primary = spec.amplitude * np.sin(2.0 * math.pi * t / spec.period)
-    secondary = spec.second_amplitude * np.sin(2.0 * math.pi * t / spec.second_period)
-    return primary + secondary
+    if spec.pattern == "sinusoid":
+        return primary
+    return primary + spec.second_amplitude * np.sin(2.0 * math.pi * t / spec.second_period)
+
+
+def _philox(key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def generate(spec: SeriesSpec) -> tuple[TimeSeries, float | None]:
@@ -143,7 +144,7 @@ def generate(spec: SeriesSpec) -> tuple[TimeSeries, float | None]:
     spec.seed and consumed in a fixed order (cycle scrambling, noise,
     outliers).
     """
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    rng = _philox(spec.seed)
     t = np.arange(spec.length, dtype=np.float64)
     seasonal = _seasonal_component(spec, t)
 
@@ -168,7 +169,6 @@ def generate(spec: SeriesSpec) -> tuple[TimeSeries, float | None]:
     if spec.outlier_count:
         where = rng.choice(spec.length, size=spec.outlier_count, replace=False)
         signs = rng.choice((-1.0, 1.0), size=spec.outlier_count)
-        values = np.array(values)
         values[where] += signs * spec.outlier_magnitude * scale
 
     return validate_series(values, 1.0), spec.period
@@ -193,8 +193,7 @@ def _rough_block(period: int, key: int) -> tuple[float, ...]:
     # Integrated noise gives a red spectrum, so the fundamental carries most
     # of the energy and survives the low-pass. The first sample is pinned to
     # the block mean for the same reason as in the harmonic blocks.
-    rng = np.random.Generator(np.random.Philox(key=key))
-    block = np.cumsum(rng.normal(0.0, 1.0, period))
+    block = np.cumsum(_philox(key).normal(0.0, 1.0, period))
     t = np.arange(period, dtype=np.float64) - (period - 1) / 2.0
     block = block - block.mean() - (t @ block) / (t @ t) * t
     block = block / block.std()
@@ -202,8 +201,8 @@ def _rough_block(period: int, key: int) -> tuple[float, ...]:
     return tuple(float(v) for v in block)
 
 
-def _family_diverse(seed: int) -> list[tuple[TimeSeries, object, str]]:
-    specs: list[SeriesSpec] = [
+def _family_diverse(seed: int) -> Recipes:
+    specs = [
         SeriesSpec("sinusoid", 2000, _case_seed(seed, 0), period=200),
         SeriesSpec(
             "sinusoid", 2400, _case_seed(seed, 1), period=240, amplitude=2.0,
@@ -255,16 +254,12 @@ def _family_diverse(seed: int) -> list[tuple[TimeSeries, object, str]]:
         ),
         SeriesSpec("sinusoid", 5000, _case_seed(seed, 19), period=1000, noise_sigma=0.4),
     ]
-    out = []
-    for i, s in enumerate(specs):
-        series, ref = generate(s)
-        out.append((series, ref, f"Diverse-{i:02d}"))
-    return out
+    for i, spec in enumerate(specs):
+        yield f"{i:02d}", spec, spec.period
 
 
-def _family_complex(seed: int) -> list[tuple[TimeSeries, object, str]]:
+def _family_complex(seed: int) -> Recipes:
     periods = (250, 300, 350, 400, 450)
-    out = []
     for i in range(20):
         if i >= 18:  # two hardest cases: everything at once
             spec = SeriesSpec(
@@ -296,13 +291,10 @@ def _family_complex(seed: int) -> list[tuple[TimeSeries, object, str]]:
                     "sinusoid", n, _case_seed(seed, 100 + i),
                     noise_sigma=(0.1, 0.15, 0.2)[i % 3], **common,
                 )
-        series, ref = generate(spec)
-        out.append((series, ref, f"Complex-{i:02d}"))
-    return out
+        yield f"{i:02d}", spec, spec.period
 
 
-def _family_ambiguous(seed: int) -> list[tuple[TimeSeries, object, str]]:
-    out = []
+def _family_ambiguous(seed: int) -> Recipes:
     bases = (120, 160, 200, 240, 280, 320)
     for i in range(20):
         p = bases[i % 6]
@@ -317,43 +309,37 @@ def _family_ambiguous(seed: int) -> list[tuple[TimeSeries, object, str]]:
             second_amplitude=(0.5, 0.8, 1.0)[i % 3],
             noise_sigma=0.05 if i % 4 == 3 else 0.0,
         )
-        series, _ = generate(spec)
-        out.append((series, (float(p), float(fundamental)), f"Ambiguous-{i:02d}"))
-    return out
+        yield f"{i:02d}", spec, (float(p), float(fundamental))
 
 
-def _family_variations(seed: int) -> list[tuple[TimeSeries, object, str]]:
-    def bases(case_seed: int) -> list[tuple[SeriesSpec, object]]:
-        return [
-            (SeriesSpec("sinusoid", 2500, case_seed, period=250, noise_sigma=0.05), 250.0),
-            (
-                SeriesSpec(
-                    "tile", 2500, case_seed, period=250,
-                    tile=_harmonic_block(250, 0.5, 1.0),
-                ),
-                250.0,
+def _family_variations(seed: int) -> Recipes:
+    bases = [
+        (SeriesSpec("sinusoid", 2500, 0, period=250, noise_sigma=0.05), 250.0),
+        (
+            SeriesSpec(
+                "tile", 2500, 0, period=250,
+                tile=_harmonic_block(250, 0.5, 1.0),
             ),
-            (
-                SeriesSpec(
-                    "sinusoid", 2800, case_seed, period=350, noise_sigma=0.1,
-                    trend_degree=1, trend_coefficients=(0.0, 0.01),
-                ),
-                350.0,
+            250.0,
+        ),
+        (
+            SeriesSpec(
+                "sinusoid", 2800, 0, period=350, noise_sigma=0.1,
+                trend_degree=1, trend_coefficients=(0.0, 0.01),
             ),
-            (
-                SeriesSpec(
-                    "two_sinusoids", 1920, case_seed, period=320.0,
-                    second_period=160.0, second_amplitude=0.6,
-                ),
-                (160.0, 320.0),
+            350.0,
+        ),
+        (
+            SeriesSpec(
+                "two_sinusoids", 1920, 0, period=320.0,
+                second_period=160.0, second_amplitude=0.6,
             ),
-        ]
-
-    out = []
-    for b in range(4):
+            (160.0, 320.0),
+        ),
+    ]
+    for b, (base, ref) in enumerate(bases):
         for v in range(5):
-            case_seed = _case_seed(seed, 300 + 5 * b + v)
-            spec, ref = bases(case_seed)[b]
+            spec = replace(base, seed=_case_seed(seed, 300 + 5 * b + v))
             if v == 1:
                 spec = replace(spec, noise_sigma=spec.noise_sigma + 0.05)
             elif v == 2:
@@ -369,56 +355,36 @@ def _family_variations(seed: int) -> list[tuple[TimeSeries, object, str]]:
                     outlier_magnitude=5.0,
                 )
             elif v == 4:
-                if spec.trend_degree:
-                    coeffs = (spec.trend_coefficients[0] + 75.0,) + spec.trend_coefficients[1:]
-                else:
-                    coeffs = (75.0,)
-                spec = replace(spec, trend_coefficients=coeffs)
-            series, _ = generate(spec)
-            out.append((series, ref, f"Variations-{b}{chr(ord('a') + v)}"))
-    return out
+                offset = (spec.trend_coefficients or (0.0,))[0] + 75.0
+                spec = replace(spec, trend_coefficients=(offset,) + spec.trend_coefficients[1:])
+            yield f"{b}{'abcde'[v]}", spec, ref
 
 
-def _family_noise(seed: int) -> list[tuple[TimeSeries, object, str]]:
-    out = []
+def _family_noise(seed: int) -> Recipes:
     for i in range(10):
         spec = SeriesSpec(
             "sinusoid", 2500, _case_seed(seed, 400 + i), period=250, noise_sigma=i / 10.0
         )
-        series, ref = generate(spec)
-        out.append((series, ref, f"Noise-{i:02d}"))
-    return out
+        yield f"{i:02d}", spec, spec.period
 
 
-def _family_length(seed: int) -> list[tuple[TimeSeries, object, str]]:
+def _family_length(seed: int) -> Recipes:
     periods = (10, 25, 50, 100, 150, 250, 350, 450, 550, 650)
-    out = []
     for i, p in enumerate(periods):
-        spec = SeriesSpec("sinusoid", 20 * p, _case_seed(seed, 500 + i), period=p)
-        series, ref = generate(spec)
-        out.append((series, ref, f"Length-{i:02d}"))
-    return out
+        yield f"{i:02d}", SeriesSpec("sinusoid", 20 * p, _case_seed(seed, 500 + i), period=p), p
 
 
-def _family_noseason(seed: int) -> list[tuple[TimeSeries, object, str]]:
-    out = []
-    for i, n in enumerate((400, 500, 600)):
-        rng = np.random.Generator(np.random.Philox(key=_case_seed(seed, 600 + i)))
-        out.append((validate_series(rng.normal(0.0, 1.0, n)), None, f"NoSeason-{i:02d}"))
-    for i, n in enumerate((400, 500, 600)):
-        rng = np.random.Generator(np.random.Philox(key=_case_seed(seed, 610 + i)))
-        walk = np.cumsum(rng.normal(0.0, 1.0, n))
-        out.append((validate_series(walk), None, f"NoSeason-{i + 3:02d}"))
+def _family_noseason(seed: int) -> Recipes:
+    def normal(index: int, n: int, sigma: float) -> np.ndarray:
+        return _philox(_case_seed(seed, index)).normal(0.0, sigma, n)
+
     t = np.arange(500, dtype=np.float64)
-    rng = np.random.Generator(np.random.Philox(key=_case_seed(seed, 620)))
-    out.append((validate_series(0.05 * t + rng.normal(0.0, 0.5, 500)), None, "NoSeason-06"))
-    rng = np.random.Generator(np.random.Philox(key=_case_seed(seed, 621)))
-    out.append(
-        (validate_series(1e-4 * t * t + rng.normal(0.0, 0.5, 500)), None, "NoSeason-07")
-    )
-    out.append((validate_series(0.03 * np.arange(400)), None, "NoSeason-08"))
-    out.append((validate_series(2e-5 * t * t), None, "NoSeason-09"))
-    return out
+    cases = [normal(600 + i, n, 1.0) for i, n in enumerate((400, 500, 600))]
+    cases += [np.cumsum(normal(610 + i, n, 1.0)) for i, n in enumerate((400, 500, 600))]
+    cases += [0.05 * t + normal(620, 500, 0.5), 1e-4 * t * t + normal(621, 500, 0.5)]
+    cases += [0.03 * np.arange(400), 2e-5 * t * t]
+    for i, values in enumerate(cases):
+        yield f"{i:02d}", values, None
 
 
 _FAMILY_BUILDERS = {
@@ -442,12 +408,11 @@ def gen_family(name: str, seed: int) -> list[tuple[TimeSeries, object, str]]:
     Raises:
         ValueError: the name is not one of FAMILY_NAMES.
     """
-    try:
-        builder = _FAMILY_BUILDERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {name!r}; pick one of {', '.join(FAMILY_NAMES)}"
-        ) from None
-    cases = builder(seed)
+    if name not in _FAMILY_BUILDERS:
+        raise ValueError(f"unknown family {name!r}; pick one of {', '.join(FAMILY_NAMES)}")
+    cases = []
+    for suffix, recipe, reference in _FAMILY_BUILDERS[name](seed):
+        series = generate(recipe)[0] if isinstance(recipe, SeriesSpec) else validate_series(recipe)
+        cases.append((series, reference, f"{name}-{suffix}"))
     assert len(cases) == FAMILY_SIZES[name]
     return cases

@@ -1,6 +1,7 @@
 """Command line surface: detect, gen, eval."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -141,8 +142,10 @@ class TestReadSeriesCsv:
             ("value\r1\r2\r3\r4\r", "0", [1, 2, 3, 4]),
             ('"a,b",1,2\n"c,d",3,4\n"e,f",5,6\n"g,h",7,8\n', "2", [2, 4, 6, 8]),
             ("a,b\n1,2\n3,4,5\n6,7\n8,9\n", "-1", [2, 5, 7, 9]),
+            ("\nvalue\n\n1_0\n2\n\n\n3\n4\n\n", "0", [10, 2, 3, 4]),
         ],
-        ids=["underscore", "bare-carriage-returns", "quoted-delimiter", "ragged-last-column"],
+        ids=["underscore", "bare-carriage-returns", "quoted-delimiter", "ragged-last-column",
+             "underscore-and-blank-lines"],
     )
     def test_cells_only_the_csv_module_reads(self, tmp_path, text, column, expected):
         path = tmp_path / "odd.csv"
@@ -298,6 +301,37 @@ class TestGenCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ValueError: unknown family 'Mystery'")
 
+    @pytest.mark.parametrize(
+        "args", [["Noise", "--seed", "-1"], ["Mystery"]], ids=["bad-seed", "unknown-family"]
+    )
+    def test_failed_gen_writes_nothing(self, tmp_path, capsys, args):
+        out = tmp_path / "d"
+        assert main(["gen", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ValueError: ")
+        assert not out.exists()
+
+
+def suite_digest(root: Path) -> str:
+    """SHA-256 over every file under root: sorted relative path, byte length, bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+SUITE_DIGESTS = json.loads((Path(__file__).parent / "data" / "suite_digests.json").read_text())
+
+
+@pytest.mark.parametrize("seed", sorted(SUITE_DIGESTS["seeds"], key=int))
+def test_generated_suite_matches_recorded_digest(tmp_path, seed):
+    # The digests pin the bytes `generate_suite("all", seed, dir)` writes:
+    # any change to a series, a label, a reference or the file layout
+    # shows up here.
+    generate_suite("all", int(seed), tmp_path)
+    assert suite_digest(tmp_path) == SUITE_DIGESTS["seeds"][seed]
+
 
 def test_seed7_records_keep_golden_detections(tmp_path):
     # Golden values: the per-case "detected" field of `seasonlen gen all
@@ -320,6 +354,14 @@ def test_seed7_records_keep_golden_detections(tmp_path):
 def suite(tmp_path_factory):
     out = tmp_path_factory.mktemp("suite")
     return generate_suite("NoSeason", 7, out)
+
+
+@pytest.fixture(scope="module")
+def noise_csv(tmp_path_factory):
+    """Absolute path of a clean period-250 sine, which the detector finds."""
+    out = tmp_path_factory.mktemp("noise")
+    generate_suite("Noise", 7, out)
+    return str(out / "Noise" / "Noise-00.csv")
 
 
 class TestEvalCommand:
@@ -367,6 +409,33 @@ class TestEvalCommand:
         manifest.write_text("not json\n")
         assert main(["eval", str(manifest)]) == 2
         assert capsys.readouterr().err.startswith("error: ValueError: ")
+
+    @pytest.mark.parametrize(
+        "line, jobs",
+        [
+            ('{"path": "PATH", "family": "Noise", "case": "b"}', "1"),
+            ('{"path": "PATH", "family": "Noise", "case": "b"}', "2"),
+            ('["PATH", 250]', "1"),
+            ('{"path": "PATH", "reference": 0, "family": "Noise", "case": "b"}', "1"),
+            ('{"path": "PATH", "reference": -250, "family": "Noise", "case": "b"}', "1"),
+            ('{"path": "PATH", "reference": [], "family": "Noise", "case": "b"}', "1"),
+            ('{"path": "PATH", "reference": [250, 0], "family": "Noise", "case": "b"}', "1"),
+            ('{"path": "PATH", "reference": "250", "family": "Noise", "case": "b"}', "1"),
+            ('{"path": "PATH", "reference": true, "family": "Noise", "case": "b"}', "1"),
+            ('{"path": 5, "reference": 250, "family": "Noise", "case": "b"}', "1"),
+        ],
+        ids=["no-reference", "no-reference-2-jobs", "array", "zero-reference",
+             "negative-reference", "empty-reference-list", "zero-in-reference-list",
+             "string-reference", "bool-reference", "number-path"],
+    )
+    def test_bad_entry_exits_2_naming_its_line(self, noise_csv, tmp_path, capsys, line, jobs):
+        # Line 1 is a valid entry, so the check must run where each line is read.
+        good = {"path": noise_csv, "reference": 250, "family": "Noise", "case": "a"}
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(good) + "\n" + line.replace("PATH", noise_csv) + "\n")
+        assert main(["eval", str(manifest), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {manifest}:2: want an object")
 
     def test_unwritable_records_path_exits_2(self, suite, tmp_path, capsys):
         out = tmp_path / "missing" / "records.jsonl"

@@ -115,6 +115,11 @@ class TestDetectionResult:
         result = DetectionResult(season_length=None, unscaled_length=None, trend_degree=1)
         assert not result.is_seasonal
 
+    @pytest.mark.parametrize("values", [[], [1.0]], ids=["empty", "one"])
+    def test_time_series_needs_two_values(self, values):
+        with pytest.raises(TooShortError, match=f"at least 2 observations, got {len(values)}"):
+            TimeSeries(np.array(values))
+
     def test_short_series_allowed_for_intermediate_types(self):
         # A two-point series is a legal value object; only detection
         # itself requires four observations.

@@ -13,6 +13,7 @@ from seasonlen.core import (
     DetectionDiagnostics,
     DetectionResult,
     NonFiniteError,
+    TimeSeries,
     TooShortError,
     ZeroVarianceError,
     validate_series,
@@ -114,6 +115,11 @@ class TestDetectSeasonLength:
     def test_too_short_propagates(self):
         with pytest.raises(TooShortError):
             detect_season_length(validate_series([1.0, 2.0, 3.0, 4.0][:3]))
+
+    def test_three_value_time_series_is_too_short(self):
+        # A TimeSeries may hold 2 or 3 values; detection itself needs 4.
+        with pytest.raises(TooShortError, match="at least 4 observations, got 3"):
+            detect_season_length(TimeSeries(np.array([1.0, 2.0, 3.0])))
 
     def test_min_zero_count_gate(self):
         config = DetectionConfig(

@@ -111,6 +111,11 @@ class TestButterworthDesign:
         apply_filter(validate_series(np.sin(np.arange(500.0))), spec)
         assert np.array_equal(spec.sos, sos)
 
+    @pytest.mark.parametrize("order", [0, 1.5])
+    def test_order_must_be_a_positive_integer(self, order):
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            design_butterworth_lowpass(order, 0.05 * math.pi)
+
     @pytest.mark.parametrize("cutoff", [0.0, -0.1, math.pi, 4.0])
     def test_cutoff_out_of_range(self, cutoff):
         with pytest.raises(ValueError):

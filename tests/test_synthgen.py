@@ -80,6 +80,25 @@ class TestSeriesSpec:
                 "period": 10,
                 "trend_coefficients": (1.0, 2.0),
             },
+            {"pattern": "sinusoid", "length": 3, "seed": 1},
+            {"pattern": "two_sinusoids", "length": 100, "seed": 1, "period": 10},
+            {"pattern": "sinusoid", "length": 100, "seed": 1, "period": 10, "outlier_count": -1},
+            {
+                "pattern": "sinusoid",
+                "length": 100,
+                "seed": 1,
+                "period": 10,
+                "trend_degree": 3,
+                "trend_coefficients": (1.0, 2.0, 3.0, 4.0),
+            },
+            {
+                "pattern": "sinusoid",
+                "length": 100,
+                "seed": 1,
+                "period": 10,
+                "trend_degree": 2,
+                "trend_coefficients": (1.0, 2.0),
+            },
         ],
     )
     def test_invalid_specs(self, kwargs):

@@ -53,6 +53,10 @@ class TestFindZeros:
         zeros = find_zeros(detrended(values), 1e-3)
         assert zeros.size == 1
 
+    def test_negative_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon_rel must be >= 0"):
+            find_zeros(detrended([1.0, 0.5, -0.5, -1.0]), -1e-4)
+
     def test_sinusoid_zero_grid(self):
         period = 40
         acf = detrend_acf(
@@ -84,6 +88,13 @@ class TestZeroDistances:
         zeros = np.cumsum([0.0, 703.0, 704.0, 281.0, 1411.0])
         _, cleaned = zero_distances(zeros)
         assert np.allclose(cleaned, [281.0, 703.0, 704.0, 1411.0])
+
+    @pytest.mark.parametrize(
+        "alpha", [[3.0, 2.0, 5.0], [1.0, 4.0, 4.0]], ids=["descending", "repeated"]
+    )
+    def test_zeros_must_ascend(self, alpha):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            zero_distances(np.array(alpha))
 
     def test_exactly_one_lag_discarded(self):
         _, cleaned = zero_distances(np.array([1.0, 2.0, 3.0, 10.0]))
@@ -138,6 +149,11 @@ class TestSelectInterval:
     def test_tie_breaks_toward_smaller(self):
         distances = np.linspace(2, 10, 6)
         assert select_interval(np.array([1, 3, 5]), distances) == (1, 3)
+
+    @pytest.mark.parametrize("points", [[2, 20], [0, 3]], ids=["past-the-end", "before-the-start"])
+    def test_bounds_outside_the_distances(self, points):
+        with pytest.raises(ValueError, match="does not fit 11 distances"):
+            select_interval(np.array(points), REFERENCE_DISTANCES)
 
     def test_no_interval(self):
         with pytest.raises(ValueError):
