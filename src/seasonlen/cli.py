@@ -261,8 +261,11 @@ def evaluate_manifest(
     case id, so serial and parallel runs produce identical output.
 
     Raises:
-        ValueError: a line is not JSON, or not an entry as _is_entry says.
+        ValueError: the margin is not a finite number >= 0, or a line is
+            not JSON, or not an entry as _is_entry says.
     """
+    if not (math.isfinite(margin) and margin >= 0.0):
+        raise ValueError(f"margin must be a finite number >= 0, got {margin}")
     manifest_path = Path(manifest_path)
     entries = []
     with manifest_path.open() as handle:

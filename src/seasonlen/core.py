@@ -5,10 +5,11 @@ validated once, where it enters: TimeSeries checks the observations and
 DetectionConfig the tuning constants; after that, detection checks only
 that the series is long enough, and works on plain arrays it owns
 without re-validating them. Two checks of values it computes anyway,
-the range of the filtered series and the autocorrelation at lag 0,
-raise NonFiniteError when huge input overflows. Stage functions that
-take a bare number or array still check it, so each stays callable on
-its own; each wraps its output in a new TimeSeries.
+the range of the filtered series and the peak of the centred series
+the autocorrelation starts from, raise NonFiniteError when huge input
+overflows. Stage functions that take a bare number or array still
+check it, so each stays callable on its own; each wraps its output in
+a new TimeSeries.
 
 DetectionError means the input data is bad, and each subclass names a
 condition a caller can act on. A bad argument raises ValueError.

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+import scipy.fft
+from hypothesis import assume, example, given, settings, strategies as st
 
-from seasonlen.autocorr import autocorrelation, detrend_acf
-from seasonlen.core import TimeSeries, ZeroVarianceError, validate_series
+from seasonlen.autocorr import _SPLIT_NFFT, _factor, autocorrelation, detrend_acf
+from seasonlen.core import NonFiniteError, TimeSeries, ZeroVarianceError, validate_series
+
+#: Half the threshold: next_fast_len(2n) == _SPLIT_NFFT, so the transform is split.
+SPLIT_N = _SPLIT_NFFT // 2
+
+#: A split-size input in [1, 2] for the power-of-two scaling property.
+SPLIT_VALUES = (1.0 + np.random.default_rng(5).random(SPLIT_N + 1)).tolist()
 
 
 def direct_acf(values):
@@ -70,6 +77,8 @@ class TestAutocorrelation:
         values=st.lists(st.floats(min_value=1.0, max_value=2.0), min_size=4, max_size=200),
         exponent=st.integers(min_value=-1000, max_value=1000),
     )
+    @example(values=SPLIT_VALUES, exponent=1000)
+    @example(values=SPLIT_VALUES, exponent=-1000)
     @settings(max_examples=100, deadline=None)
     def test_power_of_two_scaling_is_bit_identical(self, values, exponent):
         # Values in [1, 2] stay normal under any 2**k with |k| <= 1000, so
@@ -89,6 +98,54 @@ class TestAutocorrelation:
         plain = autocorrelation(validate_series(x)).values
         shifted = autocorrelation(validate_series(x + offset)).values
         assert np.abs(plain - shifted).max() < 1e-9
+
+
+def monolithic_acf(values):
+    """Independent oracle for long inputs: one zero-padded real FFT."""
+    centered = values - values.mean()
+    nfft = scipy.fft.next_fast_len(2 * centered.size)
+    power = np.abs(scipy.fft.rfft(centered, nfft))
+    np.square(power, out=power)
+    raw = scipy.fft.irfft(power, nfft)
+    return raw[: centered.size] / raw[0]
+
+
+def noisy_sine(n, seed):
+    rng = np.random.default_rng(seed)
+    return 5.0 + np.sin(2 * np.pi * np.arange(n) / 997.0) + rng.normal(0, 1, n)
+
+
+class TestSplitTransform:
+    """Series long enough for the four-step transform (n2 > 1 columns)."""
+
+    @given(n=st.integers(min_value=SPLIT_N, max_value=3 * SPLIT_N), seed=st.integers(0, 2**32 - 1))
+    @example(n=SPLIT_N, seed=0)  # 512 x 256: no partial last row
+    @example(n=131_101, seed=1)  # prime: 29 values in the last row
+    @example(n=262_139, seed=2)  # prime, twice the threshold
+    @settings(max_examples=15, deadline=None)
+    def test_matches_the_monolithic_transform(self, n, seed):
+        n1, n2 = _factor(n)
+        assert n2 > 1 and n1 * n2 >= 2 * n
+        x = noisy_sine(n, seed)
+        ours = autocorrelation(validate_series(x)).values
+        assert np.abs(ours - monolithic_acf(x)).max() < 1e-13
+
+    @pytest.mark.parametrize("n", [51_997, 130_977])
+    def test_below_the_threshold_is_the_monolithic_transform_bit_for_bit(self, n):
+        # 51,997 is the longest upsampled suite case; 130,977 is the longest
+        # series whose next_fast_len(2n) stays below the threshold.
+        assert _factor(n)[1] == 1
+        x = noisy_sine(n, 4)
+        assert np.array_equal(autocorrelation(validate_series(x)).values, monolithic_acf(x))
+
+    def test_constant_raises(self):
+        with pytest.raises(ZeroVarianceError):
+            autocorrelation(validate_series(np.full(SPLIT_N + 1, 4.0)))
+
+    def test_overflowing_mean_raises_non_finite(self):
+        x = 1e308 + 1e306 * np.sin(2 * np.pi * np.arange(SPLIT_N + 1) / 100)
+        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError):
+            autocorrelation(validate_series(x))
 
 
 class TestDetrendAcf:

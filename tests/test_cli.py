@@ -437,6 +437,16 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: ValueError: {manifest}:2: want an object")
 
+    @pytest.mark.parametrize("margin", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_margin_must_be_finite_and_not_negative(self, suite, tmp_path, capsys, margin, jobs):
+        out = tmp_path / "records.jsonl"
+        code = main(["eval", str(suite), "--margin", margin, "--jobs", jobs, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: ValueError: margin must be a finite number >= 0, got {float(margin)}\n"
+        assert not out.exists()
+
     def test_unwritable_records_path_exits_2(self, suite, tmp_path, capsys):
         out = tmp_path / "missing" / "records.jsonl"
         code = main(["eval", str(suite), "--out", str(out)])

@@ -233,6 +233,22 @@ class TestDetectSeasonLength:
             tracemalloc.stop()
         assert peak <= 7 * 8 * (4 * (n - 1) + 1)
 
+    def test_peak_traced_memory_stays_under_five_upsampled_arrays(self):
+        # The 4e5-point autocorrelation runs as a four-step transform: the
+        # buffer, the index t and one half-spectrum (two arrays' worth) plus
+        # cache-sized blocks, about 4.4 arrays. The monolithic transform's
+        # zero-padded input and spectrum took it to 6.
+        n = 100_000
+        series = sine_series(1000, n, noise=0.5, seed=0)
+        detect_season_length(series)
+        tracemalloc.start()
+        try:
+            detect_season_length(series)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * (4 * (n - 1) + 1)
+
     @pytest.mark.parametrize(
         "amplitude, offset, period, n",
         [(1e-300, 0.0, 250, 5000), (1e200, 0.0, 250, 5000), (1e300, 0.0, 250, 5000),
