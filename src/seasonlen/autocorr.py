@@ -8,7 +8,13 @@ transform length of 2**18 the FFT is factored as n1 x n2 (the four-step
 FFT): batches of short transforms over the columns and rows of the
 series, each batch small enough to stay in cache, in place of one
 transform that streams the whole zero-padded array through memory in
-every radix pass. Shorter series run that one transform.
+every radix pass. The column batches are copied, transposed, into one
+contiguous buffer of 128 rows, so every transform runs along
+contiguous rows; the series is centred and scaled in that buffer, not
+in separate passes over its whole length. Besides the series, the
+transform holds one half-spectrum of (n1/2 + 1) x n2 complex values,
+about twice the series' size, and a few cache-sized blocks. Shorter
+series run the one monolithic transform.
 
 Even a well-detrended series leaves the autocorrelation with a small
 residual tilt; a second linear regression over the lags removes it so
@@ -21,10 +27,9 @@ import math
 
 import numpy as np
 import scipy.fft
-from numpy.lib.stride_tricks import as_strided
 
 from seasonlen.core import TimeSeries, ZeroVarianceError, _nonfinite_error
-from seasonlen.detrend import _centered_index, _coefficients, _subtract_trend_in_place
+from seasonlen.detrend import _fit, _subtract_trend_in_place
 
 __all__ = ["autocorrelation", "detrend_acf"]
 
@@ -56,7 +61,11 @@ def autocorrelation(series: TimeSeries) -> TimeSeries:
 #: faster in every run, 1.1 to 1.9 times (BENCH_9.json).
 _SPLIT_NFFT = 1 << 18
 
-#: Complex values per block of the four-step passes: 32768 of them take
+#: Columns per block of the four-step column passes: at 4e6 points
+#: (n1 = 2880) a block takes 2.9 MB; 64 to 256 timed the same there.
+_COLUMN_BLOCK = 128
+
+#: Complex values per block of the four-step row pass: 32768 of them take
 #: 512 KiB, small enough for L2.
 _SPLIT_BLOCK = 1 << 15
 
@@ -88,20 +97,14 @@ def _twiddles(k1: np.ndarray, n2: int, size: int) -> np.ndarray:
     return (coarse * fine).reshape(k1.shape[0], -1)[:, :n2]
 
 
-def _column_views(x: np.ndarray, n2: int, width: int) -> list[tuple[int, np.ndarray]]:
-    """x as a grid with n2 columns, in blocks of at most width columns.
+def _grid(x: np.ndarray, n2: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """x as a grid with n2 columns: its full rows, their count, and the partial last row.
 
-    Each block is (first column, writable view of x[row * n2 + column]
-    over every row that holds that column). The last row is partial, so
-    columns before n % n2 are one row longer and never share a block
-    with the others.
+    Both arrays are writable views of x; the partial row holds the last
+    value of each of the first n % n2 columns.
     """
-    rows, tail = divmod(x.size, n2)
-    strides = (n2 * x.itemsize, x.itemsize)
-    views = [(start, as_strided(x[start:], (rows + 1, min(width, tail - start)), strides))
-             for start in range(0, tail, width)]
-    grid = x[:rows * n2].reshape(rows, n2)
-    return views + [(start, grid[:, start:start + width]) for start in range(tail, n2, width)]
+    rows = x.size // n2
+    return x[:rows * n2].reshape(rows, n2), rows, x[rows * n2:]
 
 
 def _power_in_place(block: np.ndarray) -> None:
@@ -112,66 +115,104 @@ def _power_in_place(block: np.ndarray) -> None:
     block.imag = 0.0
 
 
+def _column_spectra(x: np.ndarray, mean: float, scale: int, n1: int, n2: int) -> np.ndarray:
+    """Real FFTs of length n1 down the n2 columns of the centred, scaled x.
+
+    Each block of _COLUMN_BLOCK columns is copied, transposed, into the
+    rows of one contiguous buffer, centred on mean and scaled by
+    2**scale there, and transformed along those rows; the result is
+    stored into the (n1//2 + 1, n2) spectrum as row chunks of the
+    block's width. x itself is not written.
+    """
+    grid, rows, last = _grid(x, n2)
+    spectrum = np.empty((n1 // 2 + 1, n2), dtype=np.complex128)
+    buffer = np.zeros((_COLUMN_BLOCK, n1))  # the rows past the data stay zero
+    for start in range(0, n2, _COLUMN_BLOCK):
+        columns = buffer[:min(_COLUMN_BLOCK, n2 - start)]
+        stop = start + columns.shape[0]
+        np.subtract(grid[:, start:stop].T, mean, out=columns[:, :rows])
+        extra = last[start:stop]
+        np.subtract(extra, mean, out=columns[:extra.size, rows])
+        columns[extra.size:, rows] = 0.0
+        np.ldexp(columns[:, :rows + 1], scale, out=columns[:, :rows + 1])
+        spectrum[:, start:stop] = scipy.fft.rfft(columns, axis=1).T
+    return spectrum
+
+
+def _column_lags(spectrum: np.ndarray, x: np.ndarray, n1: int) -> None:
+    """Inverse real FFTs down the spectrum's columns, divided by lag 0, into x.
+
+    The inverse of _column_spectra: each block of columns is copied,
+    transposed, into one contiguous buffer, transformed along its rows,
+    and the lags below x.size are scattered back into x's grid.
+    """
+    n2 = spectrum.shape[1]
+    grid, rows, last = _grid(x, n2)
+    buffer = np.empty((_COLUMN_BLOCK, spectrum.shape[0]), dtype=np.complex128)
+    for start in range(0, n2, _COLUMN_BLOCK):
+        columns = buffer[:min(_COLUMN_BLOCK, n2 - start)]
+        stop = start + columns.shape[0]
+        columns[...] = spectrum[:, start:stop].T
+        lags = scipy.fft.irfft(columns, n1, axis=1, overwrite_x=True)
+        if start == 0:
+            lag0 = lags[0, 0]
+        np.divide(lags[:, :rows].T, lag0, out=grid[:, start:stop])
+        extra = last[start:stop]
+        np.divide(lags[:extra.size, rows], lag0, out=extra)
+
+
 def _autocorrelation_in_place(x: np.ndarray) -> None:
     """autocorrelation on a plain array, overwriting it with the result.
 
-    x is centred; a non-finite or zero peak raises before any transform
-    (the lag-0 value is finite and positive exactly when the peak is),
-    and x is scaled in place. Its zero-padded transform of length
-    n1 * n2 is a four-step FFT (Bailey 1990) over x viewed as a grid
-    with n2 columns and zero rows after it: length-n1 real FFTs down
-    the columns, a twiddle factor, length-n2 FFTs along the rows. Each
-    pass works on one cache-sized block of the one half-spectrum
-    buffer, where a monolithic transform streams the whole nfft-length
-    array through memory in every radix pass. The power spectrum
-    |X|**2 goes back the same way, and the normalized lags below n are
-    written straight into x. Short series (n2 == 1) skip the twiddles
-    and the row transforms: the column transform is then the one real
-    FFT of length next_fast_len(2n).
+    A non-finite or zero peak of the centred series raises before any
+    transform and before x is written (the lag-0 value is finite and
+    positive exactly when the peak is). The zero-padded transform of
+    length n1 * n2 is a four-step FFT (Bailey 1990) over x viewed as a
+    grid with n2 columns and zero rows after it: length-n1 real FFTs
+    down the columns (_column_spectra), a twiddle factor, length-n2 FFTs
+    along cache-sized blocks of rows, |X|**2, and the same steps back;
+    _column_lags writes the normalized lags below n into x. Short series
+    (n2 == 1) are centred and scaled in place and run the one real FFT
+    of length next_fast_len(2n) and its inverse.
     """
     n = x.size
-    x -= x.mean()
-    peak = max(x.max(), -x.min())
+    mean = x.mean()
+    # Rounding is monotone, so these are the extremes of the centred x.
+    peak = max(x.max() - mean, mean - x.min())
     if not math.isfinite(peak):
-        raise _nonfinite_error(x)
+        raise _nonfinite_error(x - mean)
     if peak == 0.0:
         raise ZeroVarianceError("constant series has no autocorrelation structure")
-    _, exponent = np.frexp(peak)
-    np.ldexp(x, -exponent, out=x)
+    scale = -int(np.frexp(peak)[1])
     n1, n2 = _factor(n)
-    columns = _column_views(x, n2, max(1, _SPLIT_BLOCK // n1))
-    if n2 == 1:  # the one column's transform is the buffer; no copy
-        spectrum = scipy.fft.rfft(x, n1)[:, None]
-    else:
-        spectrum = np.empty((n1 // 2 + 1, n2), dtype=np.complex128)
-        for start, view in columns:
-            spectrum[:, start:start + view.shape[1]] = scipy.fft.rfft(view, n1, axis=0)
+    if n2 == 1:
+        x -= mean
+        np.ldexp(x, scale, out=x)
+        spectrum = scipy.fft.rfft(x, n1)
+        _power_in_place(spectrum)
+        lags = scipy.fft.irfft(spectrum, n1, overwrite_x=True)
+        np.divide(lags[:n], lags[0], out=x)
+        return
+    spectrum = _column_spectra(x, mean, scale, n1, n2)
     step = max(1, _SPLIT_BLOCK // n2)
     for start in range(0, spectrum.shape[0], step):
         block = spectrum[start:start + step]
-        if n2 == 1:
-            _power_in_place(block)
-            continue
         twiddle = _twiddles(np.arange(start, start + block.shape[0]), n2, n1 * n2)
         block *= twiddle
         transformed = scipy.fft.fft(block, axis=1, overwrite_x=True)
         _power_in_place(transformed)
         np.multiply(scipy.fft.ifft(transformed, axis=1, overwrite_x=True),
                     np.conjugate(twiddle, out=twiddle), out=block)
-    for start, view in columns:
-        lags = scipy.fft.irfft(spectrum[:, start:start + view.shape[1]], n1, axis=0, overwrite_x=True)
-        if start == 0:
-            lag0 = lags[0, 0]
-        np.divide(lags[:view.shape[0]], lag0, out=view)
+    _column_lags(spectrum, x, n1)
 
 
 def detrend_acf(acf: TimeSeries) -> TimeSeries:
     """Subtract the least-squares line fitted over all lags."""
     values = acf.values.copy()
-    _detrend_acf_in_place(values, _centered_index(values.size))
+    _detrend_acf_in_place(values)
     return TimeSeries(values, acf.delta)
 
 
-def _detrend_acf_in_place(acf: np.ndarray, t: np.ndarray) -> None:
-    """detrend_acf on a plain array and its centred index t, overwriting it."""
-    _subtract_trend_in_place(acf, t, _coefficients(acf, t, 1, float(acf.mean())))
+def _detrend_acf_in_place(acf: np.ndarray) -> None:
+    """detrend_acf on a plain array, overwriting it."""
+    _subtract_trend_in_place(acf, _fit(acf, 1))

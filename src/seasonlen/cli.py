@@ -261,11 +261,14 @@ def evaluate_manifest(
     case id, so serial and parallel runs produce identical output.
 
     Raises:
-        ValueError: the margin is not a finite number >= 0, or a line is
-            not JSON, or not an entry as _is_entry says.
+        ValueError: the margin is not a finite number >= 0, jobs is not
+            an integer >= 1, or a line is not JSON, or not an entry as
+            _is_entry says.
     """
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be a finite number >= 0, got {margin}")
+    if not (isinstance(jobs, int) and jobs >= 1):
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs}")
     manifest_path = Path(manifest_path)
     entries = []
     with manifest_path.open() as handle:

@@ -11,13 +11,15 @@ over the series divided by a closed-form power sum of t:
 The quadratic term's share of the squared error is exactly
 c2**2 * sum(q**2), which is all degree selection needs. The reductions
 are numpy.einsum sums of products, which make no BLAS call and start no
-threads. The trend is subtracted in place, block by block, with Horner's
-rule in a cache-sized work array; the quadratic sum centres x in a
-temporary. Detection selects the degree and removes the trend in one
-call that builds t, the mean and sum(q*x) once; the exported functions
-copy their input and run the same code. Coefficients are reported in
-the basis of design_matrix, which defines them but is never built on
-this path.
+threads. Every pass runs block by block: t is built one cache-sized
+block at a time from one arange, the sums accumulate per block (the
+quadratic one over a block of x centred in a work array), and the trend
+is subtracted in place with Horner's rule in another work array. No
+array of the series' length is allocated. Detection selects the degree
+and removes the trend in one call that computes the mean, sum(t*x) and
+sum(q*x) once; the exported functions copy their input and run the same
+code. Coefficients are reported in the basis of design_matrix, which
+defines them but is never built on this path.
 """
 
 from __future__ import annotations
@@ -55,9 +57,14 @@ class TrendModel:
     cost: float
 
 
-#: Samples per block of the in-place trend subtraction: 16384 float64
-#: values of t and of the trend take 128 KiB each, small enough for L2.
+#: Samples per block of the trend sums and the in-place subtraction:
+#: 16384 float64 values of t and of a work array take 128 KiB each,
+#: small enough for L2.
 _BLOCK = 1 << 14
+
+#: 1, 2, ..., _BLOCK: each block of t is this ramp shifted and scaled.
+_RAMP = np.arange(1.0, _BLOCK + 1.0)
+_RAMP.flags.writeable = False
 
 
 def _check_degree(n: int, degree: int) -> None:
@@ -84,13 +91,38 @@ def _q_squared_sum(n: int) -> float:
     return (n * n - 1) * (n * n - 4) / (180.0 * n**3)
 
 
-def _quadratic_inner(x: np.ndarray, t: np.ndarray, mean: float) -> float:
-    """sum(q * x) = sum(t**2 * (x - mean(x))), without forming q.
+def _index_blocks(n: int):
+    """The centred index t of n samples, one block of at most _BLOCK at a time.
 
-    Centring x before the sum keeps an offset far above the variation
-    from cancelling the result away.
+    Yields (start, t[start:start + _BLOCK]) in one reused work array,
+    shifted and scaled from _RAMP; i - (n+1)/2 is exact, so every value
+    equals _centered_index(n)'s.
     """
-    return float(np.einsum("i,i,i->", t, t, x - mean))
+    work = np.empty(min(_BLOCK, n))
+    offset = (n + 1) / 2.0
+    for start in range(0, n, _BLOCK):
+        t = work[: min(_BLOCK, n - start)]
+        np.add(_RAMP[: t.size], start - offset, out=t)
+        t /= n
+        yield start, t
+
+
+def _inner_products(x: np.ndarray, mean: float, degree: int) -> tuple[float, float]:
+    """sum(t*x) and, for degree 2, sum(q*x) = sum(t**2 * (x - mean(x))); else 0.
+
+    Both are summed block by block. Each block of x is centred in a
+    block-sized work array before the quadratic sum, which keeps an
+    offset far above the variation from cancelling the result away.
+    """
+    linear = quadratic = 0.0
+    centred = np.empty(min(_BLOCK, x.size)) if degree == 2 else None
+    for start, t in _index_blocks(x.size):
+        block = x[start:start + t.size]
+        linear += float(np.einsum("i,i->", t, block))
+        if degree == 2:
+            np.subtract(block, mean, out=centred[: t.size])
+            quadratic += float(np.einsum("i,i,i->", t, t, centred[: t.size]))
+    return linear, quadratic
 
 
 def design_matrix(n: int, degree: int) -> np.ndarray:
@@ -123,50 +155,51 @@ def _degree(inner: float, n: int, k_trend: float) -> int:
 
 
 def _coefficients(
-    x: np.ndarray, t: np.ndarray, degree: int, mean: float, inner: float | None = None
+    n: int, degree: int, mean: float, linear: float, quadratic: float
 ) -> tuple[float, ...]:
-    """design_matrix coefficients of the fit, from mean(x) and, if known, sum(q*x)."""
-    n = x.size
-    c1 = float(np.einsum("i,i->", t, x)) / _t_squared_sum(n)
+    """design_matrix coefficients of the fit, from mean(x), sum(t*x) and sum(q*x)."""
+    c1 = linear / _t_squared_sum(n)
     if degree == 1:
         return mean, c1
-    if inner is None:
-        inner = _quadratic_inner(x, t, mean)
-    c2 = inner / _q_squared_sum(n)
+    c2 = quadratic / _q_squared_sum(n)
     return mean - c2 * _t_squared_sum(n) / n, c1, c2
 
 
-def _subtract_trend_in_place(x: np.ndarray, t: np.ndarray, coefficients) -> None:
-    """x -= the polynomial with design_matrix coefficients at t, one block at a time.
+def _fit(x: np.ndarray, degree: int) -> tuple[float, ...]:
+    """design_matrix coefficients of the least-squares fit of that degree to x."""
+    mean = float(x.mean())
+    return _coefficients(x.size, degree, mean, *_inner_products(x, mean, degree))
 
-    Each block's trend is evaluated by Horner's rule in a block-sized
-    work array, so the passes over it stay in cache; every value is
-    rounded exactly as a whole-array evaluation rounds it.
+
+def _subtract_trend_in_place(x: np.ndarray, coefficients) -> None:
+    """x -= the polynomial with design_matrix coefficients, one block at a time.
+
+    Each block's trend is evaluated by Horner's rule at that block of t
+    in a block-sized work array, so the passes over it stay in cache;
+    every value is rounded exactly as a whole-array evaluation rounds it.
     """
     work = np.empty(min(_BLOCK, x.size), dtype=np.float64)
-    for start in range(0, x.size, _BLOCK):
-        tb = t[start:start + _BLOCK]
-        trend = work[: tb.size]
-        np.multiply(tb, coefficients[-1], out=trend)
+    for start, t in _index_blocks(x.size):
+        trend = work[: t.size]
+        np.multiply(t, coefficients[-1], out=trend)
         trend += coefficients[-2]
         if len(coefficients) == 3:
-            trend *= tb
+            trend *= t
             trend += coefficients[0]
-        x[start:start + _BLOCK] -= trend
+        x[start:start + t.size] -= trend
 
 
-def _detrend_in_place(x: np.ndarray, k_trend: float) -> tuple[int, np.ndarray]:
+def _detrend_in_place(x: np.ndarray, k_trend: float) -> int:
     """select_trend_degree, then that degree's residual written over x.
 
-    Selection and fit share one index t, one mean and one sum(q*x).
-    Returns the degree and t, which any later fit of this length reuses.
+    Selection and fit share one mean, one sum(t*x) and one sum(q*x).
+    Returns the degree.
     """
-    t = _centered_index(x.size)
     mean = float(x.mean())
-    inner = _quadratic_inner(x, t, mean)
-    degree = _degree(inner, x.size, k_trend)
-    _subtract_trend_in_place(x, t, _coefficients(x, t, degree, mean, inner))
-    return degree, t
+    linear, quadratic = _inner_products(x, mean, 2)
+    degree = _degree(quadratic, x.size, k_trend)
+    _subtract_trend_in_place(x, _coefficients(x.size, degree, mean, linear, quadratic))
+    return degree
 
 
 def polynomial_residual(values: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,12 +212,10 @@ def polynomial_residual(values: np.ndarray, degree: int) -> tuple[np.ndarray, np
         ValueError: degree not in {1, 2}, or fewer samples than
             coefficients.
     """
-    n = values.size
-    _check_degree(n, degree)
-    t = _centered_index(n)
-    coefficients = _coefficients(values, t, degree, float(values.mean()))
+    _check_degree(values.size, degree)
+    coefficients = _fit(values, degree)
     residual = np.array(values, dtype=np.float64)
-    _subtract_trend_in_place(residual, t, coefficients)
+    _subtract_trend_in_place(residual, coefficients)
     return np.array(coefficients), residual
 
 
@@ -213,11 +244,11 @@ def select_trend_degree(series: TimeSeries, k_trend: float) -> int:
     """
     x = series.values
     _check_degree(x.size, 2)
-    return _degree(_quadratic_inner(x, _centered_index(x.size), float(x.mean())), x.size, k_trend)
+    return _degree(_inner_products(x, float(x.mean()), 2)[1], x.size, k_trend)
 
 
 def remove_trend(series: TimeSeries, model: TrendModel) -> TimeSeries:
     """Subtract the trend values, evaluated on the series' own time index."""
     residual = series.values.copy()
-    _subtract_trend_in_place(residual, _centered_index(residual.size), model.coefficients)
+    _subtract_trend_in_place(residual, model.coefficients)
     return TimeSeries(residual, series.delta)

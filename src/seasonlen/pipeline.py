@@ -78,9 +78,9 @@ def detect_season_length(
             f"detection needs at least {MIN_DETECTION_LENGTH} observations, got {len(series)}"
         )
 
-    # One buffer carries the series from upsampling to the autocorrelation;
-    # each stage kernel overwrites it, and the trend's index t is reused
-    # for the line fit of the autocorrelation, which has the same length.
+    # One buffer carries the series from upsampling to the zero search;
+    # each stage kernel overwrites it, and the trend fits build their time
+    # index block by block, so no other array of its length is kept.
     values = _upsample(series.values, config.interp_factor)
     _filter_in_place(values, design_butterworth_lowpass(config.filter_order, config.filter_cutoff))
 
@@ -90,13 +90,13 @@ def detect_season_length(
     if spread == 0.0:
         return _result(1)
 
-    degree, t = _detrend_in_place(values, config.trend_log_threshold)
+    degree = _detrend_in_place(values, config.trend_log_threshold)
 
     try:
         _autocorrelation_in_place(values)
     except ZeroVarianceError:
         return _result(degree)
-    _detrend_acf_in_place(values, t)
+    _detrend_acf_in_place(values)
 
     zeros = _find_zeros(values, config.zero_tolerance_rel)
     if zeros.size < config.min_zero_count:

@@ -74,22 +74,37 @@ def find_zeros(acf: TimeSeries, epsilon_rel: float) -> np.ndarray:
     return _find_zeros(acf.values, epsilon_rel)
 
 
+#: Lags per block of the zero search: 16384 float64 products take 128 KiB,
+#: small enough for L2.
+_BLOCK = 1 << 14
+
+
 def _find_zeros(v: np.ndarray, epsilon_rel: float) -> np.ndarray:
-    """find_zeros on a plain array of autocorrelation values."""
+    """find_zeros on a plain array of autocorrelation values.
+
+    Sign changes and tolerance-band edges are found block by block, in
+    block-sized temporaries; neighbouring blocks share one lag, so every
+    pair of consecutive lags is seen exactly once.
+    """
     tolerance = epsilon_rel * (v.max() - v.min())
 
-    product = v[:-1] * v[1:]
-    cross_idx = np.flatnonzero(product < 0.0)
+    product = np.empty(min(_BLOCK, v.size - 1))
+    cross_idx, starts, ends = [], [], []
+    for start in range(0, v.size - 1, _BLOCK):
+        pair = v[start:start + _BLOCK + 1]
+        np.multiply(pair[:-1], pair[1:], out=product[: pair.size - 1])
+        cross_idx.append(np.flatnonzero(product[: pair.size - 1] < 0.0) + start)
+        # Two comparisons, not np.abs(pair) <= tolerance: no float temporary.
+        edges = np.diff(((pair >= -tolerance) & (pair <= tolerance)).view(np.int8))
+        starts.append(np.flatnonzero(edges == 1) + start + 1)
+        ends.append(np.flatnonzero(edges == -1) + start)
+    cross_idx = np.concatenate(cross_idx)
     crossings = cross_idx + v[cross_idx] / (v[cross_idx] - v[cross_idx + 1])
-
-    # Two comparisons, not np.abs(v) <= tolerance: no float temporary of v's size.
-    inside = (v >= -tolerance) & (v <= tolerance)
-    edges = np.diff(inside.astype(np.int8))
-    starts = np.flatnonzero(edges == 1) + 1
-    ends = np.flatnonzero(edges == -1)
-    if inside[0]:
+    starts = np.concatenate(starts)
+    ends = np.concatenate(ends)
+    if -tolerance <= v[0] <= tolerance:
         starts = np.concatenate(([0], starts))
-    if inside[-1]:
+    if -tolerance <= v[-1] <= tolerance:
         ends = np.concatenate((ends, [v.size - 1]))
     run_centers = (starts + ends) / 2.0
 

@@ -122,6 +122,10 @@ class TestSplitTransform:
     @example(n=SPLIT_N, seed=0)  # 512 x 256: no partial last row
     @example(n=131_101, seed=1)  # prime: 29 values in the last row
     @example(n=262_139, seed=2)  # prime, twice the threshold
+    # The partial last row spans more than one column block, and the last
+    # block is narrower than the rest: 784 columns, 512 in the last row.
+    @example(n=300_000, seed=3)
+    @example(n=393_209, seed=4)  # prime: 891 columns, 278 in the last row
     @settings(max_examples=15, deadline=None)
     def test_matches_the_monolithic_transform(self, n, seed):
         n1, n2 = _factor(n)

@@ -350,6 +350,24 @@ def test_seed7_records_keep_golden_detections(tmp_path):
             assert detected[case] == pytest.approx(expected, rel=1e-9), case
 
 
+@pytest.mark.parametrize("seed", [11, 13, 21, 42])
+def test_more_seeds_keep_golden_detections(tmp_path, seed):
+    # Golden values as for seed 7, recorded from `seasonlen gen all --seed
+    # N` followed by `seasonlen eval` before the trend sums, the zero search
+    # and the long autocorrelation ran block by block; one seed alone is
+    # too few cases to judge a change to the detector's arithmetic.
+    golden = json.loads((Path(__file__).parent / "data" / f"seed{seed}_detected.json").read_text())
+    assert golden["seed"] == seed
+    records, _ = evaluate_manifest(generate_suite("all", seed, tmp_path), margin=0.2)
+    detected = {record.case: record.detected for record in records}
+    assert detected.keys() == golden["detected"].keys()
+    for case, expected in golden["detected"].items():
+        if expected is None:
+            assert detected[case] is None, case
+        else:
+            assert detected[case] == pytest.approx(expected, rel=1e-9), case
+
+
 @pytest.fixture(scope="module")
 def suite(tmp_path_factory):
     out = tmp_path_factory.mktemp("suite")
@@ -445,6 +463,19 @@ class TestEvalCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: ValueError: margin must be a finite number >= 0, got {float(margin)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("entries", [1, 2])
+    def test_jobs_below_one_exits_2(self, noise_csv, tmp_path, capsys, jobs, entries):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(
+            json.dumps({"path": noise_csv, "reference": 250, "family": "Noise", "case": str(i)}) + "\n"
+            for i in range(entries)))
+        out = tmp_path / "records.jsonl"
+        code = main(["eval", str(manifest), "--jobs", jobs, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: ValueError: jobs must be an integer >= 1, got {jobs}\n"
         assert not out.exists()
 
     def test_unwritable_records_path_exits_2(self, suite, tmp_path, capsys):

@@ -8,6 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from seasonlen.core import TimeSeries, validate_series
 from seasonlen.detrend import (
+    _BLOCK,
+    _centered_index,
+    _index_blocks,
     design_matrix,
     fit_polynomial,
     remove_trend,
@@ -58,6 +61,14 @@ class TestDesignMatrix:
     def test_insufficient_points(self):
         with pytest.raises(ValueError):
             design_matrix(2, 2)
+
+
+@pytest.mark.parametrize("n", [3, _BLOCK, _BLOCK + 1, 3 * _BLOCK - 1])
+def test_index_blocks_are_the_centred_index_bit_for_bit(n):
+    # The trend sums and the subtraction build t one block at a time.
+    blocks = [(start, t.copy()) for start, t in _index_blocks(n)]
+    assert [start for start, _ in blocks] == list(range(0, n, _BLOCK))
+    assert np.concatenate([t for _, t in blocks]).tobytes() == _centered_index(n).tobytes()
 
 
 class TestFitPolynomial:
@@ -136,6 +147,13 @@ trend_series = st.builds(
 )
 
 
+#: Three blocks of the trend sums and part of a fourth, with both trends.
+MULTI_BLOCK = (
+    7.0 + 30.0 * np.linspace(0.0, 1.0, 3 * _BLOCK + 11)
+    - 50.0 * np.linspace(0.0, 1.0, 3 * _BLOCK + 11) ** 2
+    + np.random.default_rng(9).normal(0.0, 2.0, 3 * _BLOCK + 11)
+)
+
 #: Absolute floor of the coefficient tolerance. Below the normal range
 #: round-off is absolute, one subnormal spacing (5e-324) per operation, and
 #: dividing by sum(q**2) amplifies it to about 120 spacings in c2 (seen on
@@ -155,6 +173,8 @@ class TestProjectionMatchesLstsq:
     @given(x=trend_series, degree=st.sampled_from([1, 2]))
     @example(x=np.array([0.0, 0.0, 5e-324]), degree=1)
     @example(x=np.array([0.0, 0.0, 5e-324]), degree=2)
+    @example(x=MULTI_BLOCK, degree=1)
+    @example(x=MULTI_BLOCK, degree=2)
     @settings(max_examples=60, deadline=None)
     def test_coefficients_and_cost(self, x, degree):
         scale = float(np.abs(x).max()) or 1.0
@@ -165,6 +185,7 @@ class TestProjectionMatchesLstsq:
         assert model.cost == pytest.approx(cost, rel=1e-9, abs=(1e-9 * scale) ** 2)
 
     @given(x=trend_series)
+    @example(x=MULTI_BLOCK)
     @settings(max_examples=60, deadline=None)
     def test_projection_gap_is_cost_gap(self, x):
         n = x.size

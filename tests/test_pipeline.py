@@ -160,6 +160,10 @@ class TestDetectSeasonLength:
              DetectionConfig(), 2, True),
             (validate_series(np.random.default_rng(12).normal(0, 1, 600)),
              DetectionConfig(), 1, False),
+            # 159,997 upsampled values: the four-step autocorrelation and
+            # ten blocks of every trend sum.
+            (sine_series(1000, 40_000, noise=0.3, seed=3, trend=lambda t: 2.5e-8 * t * t),
+             DetectionConfig(), 2, True),
         ] + [
             # Orders 4 to 8 at the default cutoff, where a single
             # transfer-function polynomial pair is ill-conditioned.
@@ -167,7 +171,7 @@ class TestDetectSeasonLength:
              DetectionConfig(filter_order=order), 1, True)
             for order in range(4, 9)
         ],
-        ids=["linear-trend", "quadratic-trend", "no-season"]
+        ids=["linear-trend", "quadratic-trend", "no-season", "split-quadratic-trend"]
         + [f"order-{order}" for order in range(4, 9)],
     )
     def test_equals_chained_stages(self, series, config, degree, seasonal):
@@ -217,12 +221,9 @@ class TestDetectSeasonLength:
         with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError):
             detect_season_length(series)
 
-    def test_peak_traced_memory_stays_under_seven_upsampled_arrays(self):
-        # One buffer runs from upsampling to the autocorrelation; the peak
-        # is reached in the FFTs (buffer, index t, zero-padded input and
-        # complex spectrum, 6 arrays' worth). Re-wrapping every stage
-        # output took it to 9.
-        n = 100_000
+    @staticmethod
+    def traced_peak_in_upsampled_arrays(n):
+        """Peak traced memory of one detection of n raw samples, in upsampled arrays."""
         series = sine_series(1000, n, noise=0.5, seed=0)
         detect_season_length(series)
         tracemalloc.start()
@@ -231,23 +232,26 @@ class TestDetectSeasonLength:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * 8 * (4 * (n - 1) + 1)
+        return peak / (8 * (4 * (n - 1) + 1))
+
+    def test_peak_traced_memory_stays_under_seven_upsampled_arrays(self):
+        # One buffer runs from upsampling to the zero search. The peak is
+        # reached in the 4e5-point autocorrelation: the buffer, one
+        # half-spectrum of two arrays' worth and a few column blocks, which
+        # at this length are large next to the series. Re-wrapping every
+        # stage output took it to 9.
+        assert self.traced_peak_in_upsampled_arrays(100_000) <= 7
 
     def test_peak_traced_memory_stays_under_five_upsampled_arrays(self):
-        # The 4e5-point autocorrelation runs as a four-step transform: the
-        # buffer, the index t and one half-spectrum (two arrays' worth) plus
-        # cache-sized blocks, about 4.4 arrays. The monolithic transform's
-        # zero-padded input and spectrum took it to 6.
-        n = 100_000
-        series = sine_series(1000, n, noise=0.5, seed=0)
-        detect_season_length(series)
-        tracemalloc.start()
-        try:
-            detect_season_length(series)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * 8 * (4 * (n - 1) + 1)
+        # About 4.0 arrays here; the monolithic transform's zero-padded
+        # input and spectrum took it to 6.
+        assert self.traced_peak_in_upsampled_arrays(100_000) <= 5
+
+    def test_peak_traced_memory_at_a_million_samples(self):
+        # About 3.3 arrays: the buffer, the half-spectrum and column blocks
+        # of 128 x 2880 values. A whole-length time index, kept from the
+        # trend fit to the autocorrelation's line fit, took it to 4.1.
+        assert self.traced_peak_in_upsampled_arrays(1_000_000) <= 3.75
 
     @pytest.mark.parametrize(
         "amplitude, offset, period, n",

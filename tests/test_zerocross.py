@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from seasonlen.autocorr import autocorrelation, detrend_acf
 from seasonlen.core import TimeSeries, validate_series
 from seasonlen.zerocross import (
+    _BLOCK,
     change_points,
     estimate_from_zeros,
     find_zeros,
@@ -71,6 +72,32 @@ class TestFindZeros:
             assert np.abs(grid - z).min() < 1.0
         for g in grid[grid < 1600]:
             assert np.abs(zeros - g).min() < 1.0
+
+
+class TestFindZerosAcrossBlocks:
+    """The search runs block by block; neighbouring blocks share one lag."""
+
+    @pytest.mark.parametrize("flip", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
+    def test_sign_change_at_a_block_edge(self, flip):
+        values = np.ones(3 * _BLOCK + 5)
+        values[flip:] = -1.0
+        assert find_zeros(detrended(values), 1e-4).tolist() == [flip - 0.5]
+
+    @pytest.mark.parametrize("first", [_BLOCK - 3, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_band_run_at_a_block_edge(self, first, length):
+        values = np.ones(2 * _BLOCK + 7)
+        values[first:first + length] = 0.0
+        zeros = find_zeros(detrended(values), 1e-4)
+        assert zeros.tolist() == [first + (length - 1) / 2]
+
+    def test_band_runs_at_both_ends(self):
+        values = np.ones(_BLOCK + 9)
+        values[:3] = 0.0
+        values[-2:] = 0.0
+        # The run at lag 0 centres on 1.0; the one at the end on the middle
+        # of its last two lags.
+        assert find_zeros(detrended(values), 1e-4).tolist() == [1.0, values.size - 1.5]
 
 
 class TestZeroDistances:
