@@ -1,15 +1,16 @@
-"""Domain types, configuration, and the shared error taxonomy.
+"""Domain types, configuration, the filter design, and the error taxonomy.
 
 Every type in this module is an immutable value object. Input is
 validated once, where it enters: TimeSeries checks the observations and
-DetectionConfig the tuning constants; after that, detection checks only
-that the series is long enough, and works on plain arrays it owns
-without re-validating them. Two checks of values it computes anyway,
-the range of the filtered series and the peak of the centred series
-the autocorrelation starts from, raise NonFiniteError when huge input
-overflows. Stage functions that take a bare number or array still
-check it, so each stays callable on its own; each wraps its output in
-a new TimeSeries.
+DetectionConfig the tuning constants, down to the filter design they
+name (kept here, and re-exported by preprocess, for that check); after
+that, detection checks only that the series is long enough, and works on
+plain arrays it owns without re-validating them. Two checks of values it
+computes anyway, the range of the filtered series and the peak of the
+centred series the autocorrelation starts from, raise NonFiniteError
+when huge input overflows. Stage functions that take a bare number or
+array still check it, so each stays callable on its own; each wraps its
+output in a new TimeSeries.
 
 DetectionError means the input data is bad, and each subclass names a
 condition a caller can act on. A bad argument raises ValueError.
@@ -17,10 +18,12 @@ condition a caller can act on. A bad argument raises ValueError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import signal
 
 __all__ = [
     "DetectionError",
@@ -32,6 +35,8 @@ __all__ = [
     "DetectionConfig",
     "DetectionDiagnostics",
     "DetectionResult",
+    "FilterSpec",
+    "design_butterworth_lowpass",
     "validate_series",
     "MIN_DETECTION_LENGTH",
 ]
@@ -133,6 +138,54 @@ def validate_series(raw, delta: float = 1.0) -> TimeSeries:
     return TimeSeries(arr, delta)
 
 
+@dataclass(frozen=True, eq=False)
+class FilterSpec:
+    """A discrete-time recursive low-pass filter.
+
+    Attributes:
+        order: filter order.
+        cutoff: half-power frequency in rad/sample.
+        sos: second-order sections, one row [b0, b1, b2, 1, a1, a2] each;
+            unlike one high-order polynomial pair, they stay well
+            conditioned at any order and low cutoff.
+        zi: per-section state of the steady-state unit-step response; a
+            pass that starts at sample value v starts from zi * v.
+    """
+
+    order: int
+    cutoff: float
+    sos: np.ndarray
+    zi: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def design_butterworth_lowpass(order: int, cutoff: float) -> FilterSpec:
+    """Design a Butterworth low-pass with its half-power point at cutoff.
+
+    The analog prototype is mapped to discrete time with the bilinear
+    transform; pre-warping places the half-power point exactly at the
+    requested frequency. The start state zi is solved once, here: the
+    design is memoised, so repeated calls with one (order, cutoff)
+    return the same FilterSpec, whose arrays must not be written.
+
+    Raises:
+        ValueError: order not a positive integer, cutoff not inside
+            (0, pi), or a cutoff so low that poles round onto z = 1.
+    """
+    if order < 1 or order != int(order):
+        raise ValueError(f"order must be a positive integer, got {order}")
+    if not 0.0 < cutoff < math.pi:
+        raise ValueError(f"cutoff must lie in (0, pi), got {cutoff}")
+    sos = signal.butter(int(order), cutoff / math.pi, output="sos")
+    try:
+        zi = signal.sosfilt_zi(sos)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            f"order {order} at cutoff {cutoff} has no steady state: its poles round onto z = 1"
+        ) from None
+    return FilterSpec(order=int(order), cutoff=float(cutoff), sos=sos, zi=zi)
+
+
 @dataclass(frozen=True)
 class DetectionConfig:
     """Tuning constants of the detection pipeline.
@@ -168,20 +221,22 @@ class DetectionConfig:
     min_zero_count: int = 3
 
     def __post_init__(self) -> None:
-        if not (float(self.interp_factor).is_integer() and self.interp_factor >= 1):
-            raise ValueError(f"interp_factor must be an integer >= 1, got {self.interp_factor}")
-        if not (float(self.filter_order).is_integer() and self.filter_order >= 1):
-            raise ValueError(f"filter_order must be an integer >= 1, got {self.filter_order}")
-        if not 0.0 < self.filter_cutoff < math.pi:
-            raise ValueError(f"filter_cutoff must lie in (0, pi), got {self.filter_cutoff}")
+        for name in ("interp_factor", "filter_order", "min_zero_count"):
+            value = getattr(self, name)  # a bool is not a count
+            if isinstance(value, (bool, np.bool_)) or not float(value).is_integer() or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
+        try:
+            design_butterworth_lowpass(self.filter_order, self.filter_cutoff)
+        except ValueError as exc:
+            raise ValueError(f"filter_order, filter_cutoff: {exc}") from None
+        if math.isnan(self.trend_log_threshold):
+            raise ValueError("trend_log_threshold must be a number, got nan")
         if not 0.0 < self.quotient_threshold < 1.0:
             raise ValueError(
                 f"quotient_threshold must lie in (0, 1), got {self.quotient_threshold}"
             )
-        if self.zero_tolerance_rel < 0.0:
+        if not self.zero_tolerance_rel >= 0.0:
             raise ValueError(f"zero_tolerance_rel must be >= 0, got {self.zero_tolerance_rel}")
-        if self.min_zero_count < 1:
-            raise ValueError(f"min_zero_count must be >= 1, got {self.min_zero_count}")
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,16 @@ components keep their zero-crossing positions; a single causal pass
 would drag zeros by a frequency-dependent lag and bias every distance
 measured downstream. Each pass starts from the steady-state response to
 its first sample, which suppresses the start-up transient that zero
-initial conditions would inject at the series edges.
+initial conditions would inject at the series edges. The memoised
+design (in core, re-exported here) solves that start state once.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import signal
 
-from seasonlen.core import TimeSeries, TooShortError
+from seasonlen.core import FilterSpec, TimeSeries, TooShortError, design_butterworth_lowpass
 
 __all__ = [
     "FilterSpec",
@@ -26,23 +23,6 @@ __all__ = [
     "apply_filter",
     "magnitude_response",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class FilterSpec:
-    """A discrete-time recursive low-pass filter.
-
-    Attributes:
-        order: filter order.
-        cutoff: half-power frequency in rad/sample.
-        sos: second-order sections, one row [b0, b1, b2, 1, a1, a2] each;
-            unlike one high-order polynomial pair, they stay well
-            conditioned at any order and low cutoff.
-    """
-
-    order: int
-    cutoff: float
-    sos: np.ndarray
 
 
 def interpolate_linear(series: TimeSeries, factor: int) -> TimeSeries:
@@ -75,28 +55,6 @@ def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def design_butterworth_lowpass(order: int, cutoff: float) -> FilterSpec:
-    """Design a Butterworth low-pass with its half-power point at cutoff.
-
-    The analog prototype is mapped to discrete time with the bilinear
-    transform; pre-warping places the half-power point exactly at the
-    requested frequency. The design is a pure function of its arguments
-    and is memoised, so repeated calls with one (order, cutoff) return
-    the same FilterSpec; its sos array is shared and must not be written.
-
-    Raises:
-        ValueError: order not a positive integer, or cutoff not strictly
-            inside (0, pi).
-    """
-    if order < 1 or order != int(order):
-        raise ValueError(f"order must be a positive integer, got {order}")
-    if not 0.0 < cutoff < math.pi:
-        raise ValueError(f"cutoff must lie in (0, pi), got {cutoff}")
-    sos = signal.butter(int(order), cutoff / math.pi, output="sos")
-    return FilterSpec(order=int(order), cutoff=float(cutoff), sos=sos)
-
-
 def apply_filter(series: TimeSeries, spec: FilterSpec) -> TimeSeries:
     """Filter forward and backward for a zero-phase result.
 
@@ -118,8 +76,9 @@ def apply_filter(series: TimeSeries, spec: FilterSpec) -> TimeSeries:
 def _filter_in_place(x: np.ndarray, spec: FilterSpec) -> None:
     """apply_filter on a plain array, overwriting it with the filtered values.
 
-    The array is centred on its first sample in place. The backward pass
-    returns a reversed view; the result is copied back into x, so it is
+    Centred on its first sample, whose steady state is then zero, x is
+    filtered forward from rest and backward from the steady state of the
+    forward pass's last value. The result is copied back into x, so it is
     C-contiguous, which keeps later einsum sums identical to those over
     a fresh array.
 
@@ -133,7 +92,9 @@ def _filter_in_place(x: np.ndarray, spec: FilterSpec) -> None:
         )
     first = x[0]
     x -= first
-    np.add(signal.sosfiltfilt(spec.sos, x, padtype=None), first, out=x)
+    forward = signal.sosfilt(spec.sos, x)
+    backward, _ = signal.sosfilt(spec.sos, forward[::-1], zi=spec.zi * forward[-1])
+    np.add(backward[::-1], first, out=x)
 
 
 def magnitude_response(spec: FilterSpec, omegas) -> np.ndarray:

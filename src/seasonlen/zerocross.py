@@ -8,8 +8,9 @@ ascending, and the sorted sequence is segmented wherever the ratio
 between neighboring distances jumps. The longest stable segment is the
 set of trustworthy distances; twice their mean is the season length.
 
-Distances are measured in upsampled lag units throughout and converted
-back to original sample counts only in the final averaging step.
+The zeros come from one pass over the lags. Distances are measured in
+upsampled lag units throughout and converted back to original sample
+counts only in the final averaging step.
 """
 
 from __future__ import annotations
@@ -74,39 +75,20 @@ def find_zeros(acf: TimeSeries, epsilon_rel: float) -> np.ndarray:
     return _find_zeros(acf.values, epsilon_rel)
 
 
-#: Lags per block of the zero search: 16384 float64 products take 128 KiB,
-#: small enough for L2.
-_BLOCK = 1 << 14
-
-
 def _find_zeros(v: np.ndarray, epsilon_rel: float) -> np.ndarray:
-    """find_zeros on a plain array of autocorrelation values.
-
-    Sign changes and tolerance-band edges are found block by block, in
-    block-sized temporaries; neighbouring blocks share one lag, so every
-    pair of consecutive lags is seen exactly once.
-    """
+    """find_zeros on a plain array of autocorrelation values, in one pass over the lags."""
     tolerance = epsilon_rel * (v.max() - v.min())
 
-    product = np.empty(min(_BLOCK, v.size - 1))
-    cross_idx, starts, ends = [], [], []
-    for start in range(0, v.size - 1, _BLOCK):
-        pair = v[start:start + _BLOCK + 1]
-        np.multiply(pair[:-1], pair[1:], out=product[: pair.size - 1])
-        cross_idx.append(np.flatnonzero(product[: pair.size - 1] < 0.0) + start)
-        # Two comparisons, not np.abs(pair) <= tolerance: no float temporary.
-        edges = np.diff(((pair >= -tolerance) & (pair <= tolerance)).view(np.int8))
-        starts.append(np.flatnonzero(edges == 1) + start + 1)
-        ends.append(np.flatnonzero(edges == -1) + start)
-    cross_idx = np.concatenate(cross_idx)
+    cross_idx = np.flatnonzero(v[:-1] * v[1:] < 0.0)
     crossings = cross_idx + v[cross_idx] / (v[cross_idx] - v[cross_idx + 1])
-    starts = np.concatenate(starts)
-    ends = np.concatenate(ends)
-    if -tolerance <= v[0] <= tolerance:
-        starts = np.concatenate(([0], starts))
-    if -tolerance <= v[-1] <= tolerance:
-        ends = np.concatenate((ends, [v.size - 1]))
-    run_centers = (starts + ends) / 2.0
+
+    # In-band lags, framed by an out-of-band lag at each end so a run s..e
+    # rises at edge s and falls at edge e + 1. Two comparisons, not
+    # np.abs(v) <= tolerance: no float temporary of v's size.
+    inside = np.zeros(v.size + 2, dtype=np.int8)
+    inside[1:-1] = (v >= -tolerance) & (v <= tolerance)
+    edges = np.diff(inside)
+    run_centers = (np.flatnonzero(edges == 1) + np.flatnonzero(edges == -1) - 1) / 2.0
 
     candidates = np.sort(np.concatenate((crossings, run_centers)))
     candidates = candidates[candidates >= 1.0]

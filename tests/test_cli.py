@@ -259,6 +259,16 @@ class TestDetectCommand:
             "error: ValueError: delimiter must be one character other than a line break, got ';;'\n"
         )
 
+    def test_undesignable_filter_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 24, 96)
+        code = main(["detect", "--input", str(path), "--cutoff", "1e-8"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ValueError: filter_order, filter_cutoff: order 2 at cutoff 1e-08 has no"
+            " steady state: its poles round onto z = 1\n"
+        )
+
     def test_white_noise_reports_null(self, tmp_path, capsys):
         path = tmp_path / "noise.csv"
         noise = np.random.default_rng(4).normal(0, 1, 600)

@@ -103,10 +103,19 @@ class TestDetectionConfig:
             {"min_zero_count": 0},
             {"interp_factor": 2.5},
             {"filter_order": 2.5},
+            # No steady state: the poles round onto z = 1.
+            {"filter_order": 2, "filter_cutoff": 1e-8},
+            {"filter_order": 1, "filter_cutoff": 1e-21},
+            # Values that used to build and then silently changed meaning.
+            {"zero_tolerance_rel": math.nan},
+            {"trend_log_threshold": math.nan},
+            {"interp_factor": True},
+            {"min_zero_count": True},
+            {"min_zero_count": 2.5},
         ],
     )
     def test_invariant_violations(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             DetectionConfig(**kwargs)
 
 

@@ -271,6 +271,15 @@ class TestDetectSeasonLength:
         assert result.is_seasonal
         assert result.unscaled_length == pytest.approx(period, rel=0.02)
 
+    @pytest.mark.parametrize("amplitude, degree, length", [(17.0, 1, 251.434), (18.0, 2, 253.818)])
+    def test_trend_degree_crossover_depends_on_scale(self, amplitude, degree, length):
+        # A known limit of the paper's rule: e**2 bounds the log of an
+        # absolute squared-error gap, which grows with the square of the
+        # scale, so a clean sine turns quadratic between amplitudes 17 and 18.
+        result = detect_season_length(sine_series(252, 5000, amplitude=amplitude))
+        assert result.trend_degree == degree
+        assert result.unscaled_length == pytest.approx(length, abs=5e-4)
+
     @given(offset=st.floats(min_value=-1e12, max_value=1e12))
     @settings(max_examples=40, deadline=None)
     def test_offset_invariance_up_to_1e12_times_the_range(self, offset):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import signal
 
 from seasonlen.core import TimeSeries, TooShortError, validate_series
 from seasonlen.preprocess import (
@@ -121,6 +122,18 @@ class TestButterworthDesign:
         with pytest.raises(ValueError):
             design_butterworth_lowpass(2, cutoff)
 
+    @pytest.mark.parametrize("order, cutoff", [(2, 1e-8), (4, 1e-9), (1, 1e-21)])
+    def test_cutoff_without_a_steady_state(self, order, cutoff):
+        with pytest.raises(ValueError, match=f"order {order} at cutoff {cutoff} has no steady"):
+            design_butterworth_lowpass(order, cutoff)
+
+    def test_start_state_is_the_steady_state(self):
+        spec = design_butterworth_lowpass(4, 0.05 * math.pi)
+        assert np.array_equal(spec.zi, signal.sosfilt_zi(spec.sos))
+        # A unit step filtered from zi stays at 1: no start-up transient.
+        out, _ = signal.sosfilt(spec.sos, np.ones(200), zi=spec.zi)
+        assert np.abs(out - 1.0).max() < 1e-12
+
     @given(
         order=st.integers(min_value=1, max_value=8),
         cutoff=st.floats(min_value=1e-3 * math.pi, max_value=0.9 * math.pi),
@@ -136,6 +149,19 @@ class TestButterworthDesign:
 
 
 class TestApplyFilter:
+    @pytest.mark.parametrize("order", [1, 2, 4, 8])
+    def test_bit_for_bit_equal_to_sosfiltfilt(self, order):
+        # The reference solves the start state on every call; the filter
+        # takes it from the design, and must not change a single bit.
+        # 13, 25 and 49 are the shortest lengths at orders 2, 4 and 8.
+        for n in (l for l in (13, 25, 49, 1_000, 40_000, 40_003) if l > 6 * order):
+            x = 1e3 + np.random.default_rng(n + order).normal(0, 1, n).cumsum()
+            for cutoff in (0.001 * math.pi, 0.05 * math.pi, 0.5 * math.pi):
+                spec = design_butterworth_lowpass(order, cutoff)
+                want = signal.sosfiltfilt(spec.sos, x - x[0], padtype=None) + x[0]
+                got = apply_filter(validate_series(x), spec).values
+                assert got.tobytes() == want.tobytes(), (n, cutoff)
+
     def test_constant_passthrough(self):
         spec = design_butterworth_lowpass(2, 0.05 * math.pi)
         series = validate_series(np.full(100, 7.3))

@@ -1,13 +1,14 @@
 """Zero detection and the distance segmentation machinery."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seasonlen.autocorr import autocorrelation, detrend_acf
 from seasonlen.core import TimeSeries, validate_series
 from seasonlen.zerocross import (
-    _BLOCK,
     change_points,
     estimate_from_zeros,
     find_zeros,
@@ -74,30 +75,75 @@ class TestFindZeros:
             assert np.abs(zeros - g).min() < 1.0
 
 
-class TestFindZerosAcrossBlocks:
-    """The search runs block by block; neighbouring blocks share one lag."""
+def zeros_lag_by_lag(v, epsilon_rel):
+    """find_zeros as a plain loop over the lags: the reference for the vectorised pass."""
+    v = [float(x) for x in v]
+    tolerance = epsilon_rel * (max(v) - min(v))
+    candidates = [i + v[i] / (v[i] - v[i + 1]) for i in range(len(v) - 1) if v[i] * v[i + 1] < 0]
+    start = None
+    for i, x in enumerate(v + [math.inf]):  # the sentinel ends a run at the last lag
+        if abs(x) <= tolerance and start is None:
+            start = i
+        elif abs(x) > tolerance and start is not None:
+            candidates.append((start + i - 1) / 2)
+            start = None
+    zeros, group = [], []
+    for c in sorted(c for c in candidates if c >= 1.0):
+        if group and c - group[-1] > 0.5:
+            zeros.append(sum(group) / len(group))
+            group = []
+        group.append(c)
+    return zeros + [sum(group) / len(group)] if group else zeros
 
-    @pytest.mark.parametrize("flip", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
+
+class TestFindZerosAcrossBlocks:
+    """Long inputs with sign changes and band runs around multiples of WIDTH lags."""
+
+    WIDTH = 1 << 14
+
+    @pytest.mark.parametrize("flip", [WIDTH - 1, WIDTH, WIDTH + 1, 2 * WIDTH])
     def test_sign_change_at_a_block_edge(self, flip):
-        values = np.ones(3 * _BLOCK + 5)
+        values = np.ones(3 * self.WIDTH + 5)
         values[flip:] = -1.0
         assert find_zeros(detrended(values), 1e-4).tolist() == [flip - 0.5]
 
-    @pytest.mark.parametrize("first", [_BLOCK - 3, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize("first", [WIDTH - 3, WIDTH - 1, WIDTH, WIDTH + 1])
     @pytest.mark.parametrize("length", [1, 2, 4])
     def test_band_run_at_a_block_edge(self, first, length):
-        values = np.ones(2 * _BLOCK + 7)
+        values = np.ones(2 * self.WIDTH + 7)
         values[first:first + length] = 0.0
         zeros = find_zeros(detrended(values), 1e-4)
         assert zeros.tolist() == [first + (length - 1) / 2]
 
     def test_band_runs_at_both_ends(self):
-        values = np.ones(_BLOCK + 9)
+        values = np.ones(self.WIDTH + 9)
         values[:3] = 0.0
         values[-2:] = 0.0
         # The run at lag 0 centres on 1.0; the one at the end on the middle
         # of its last two lags.
         assert find_zeros(detrended(values), 1e-4).tolist() == [1.0, values.size - 1.5]
+
+
+lag_values = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1e-7, -1e-7]),
+    st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False),
+)
+
+
+@given(
+    values=st.lists(lag_values, min_size=2, max_size=40),
+    epsilon_rel=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2]),
+)
+@example(values=[0.0, 0.0, 1.0, -1.0, 0.5, 0.0, 0.0], epsilon_rel=0.0)
+@example(values=[1e-7, 0.0, -1.0, 1.0, -1e-7, 1e-7], epsilon_rel=1e-4)
+@example(values=[0.0, 0.0, 0.0], epsilon_rel=1e-4)
+@settings(max_examples=300, deadline=None)
+def test_find_zeros_matches_a_lag_by_lag_loop(values, epsilon_rel):
+    # Exact zeros and tolerance-band runs at either end take the same path
+    # as those inside.
+    got = find_zeros(detrended(values), epsilon_rel)
+    assert got.tolist() == pytest.approx(zeros_lag_by_lag(values, epsilon_rel), rel=1e-12)
 
 
 class TestZeroDistances:
