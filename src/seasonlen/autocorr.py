@@ -11,10 +11,11 @@ transform that streams the whole zero-padded array through memory in
 every radix pass. The column batches are copied, transposed, into one
 contiguous buffer of 128 rows, so every transform runs along
 contiguous rows; the series is centred and scaled in that buffer, not
-in separate passes over its whole length. Besides the series, the
-transform holds one half-spectrum of (n1/2 + 1) x n2 complex values,
-about twice the series' size, and a few cache-sized blocks. Shorter
-series run the one monolithic transform.
+in separate passes over its whole length. The (n1/2 + 1) x n2
+half-spectrum is two real planes: the real one is the series' own grid,
+whose cells each column batch copies out before writing them, plus a
+few tail rows; the imaginary one is the only new series-sized array.
+Shorter series run the one monolithic transform.
 
 Even a well-detrended series leaves the autocorrelation with a small
 residual tilt; a second linear regression over the lags removes it so
@@ -115,17 +116,19 @@ def _power_in_place(block: np.ndarray) -> None:
     block.imag = 0.0
 
 
-def _column_spectra(x: np.ndarray, mean: float, scale: int, n1: int, n2: int) -> np.ndarray:
+def _column_spectra(x: np.ndarray, mean: float, scale: int, n1: int, n2: int) -> tuple:
     """Real FFTs of length n1 down the n2 columns of the centred, scaled x.
 
     Each block of _COLUMN_BLOCK columns is copied, transposed, into the
     rows of one contiguous buffer, centred on mean and scaled by
-    2**scale there, and transformed along those rows; the result is
-    stored into the (n1//2 + 1, n2) spectrum as row chunks of the
-    block's width. x itself is not written.
+    2**scale there, and transformed along those rows. Of the
+    (n1//2 + 1, n2) spectrum, the real parts go back into the block's
+    columns of x's grid and of a tail of the rows past it, and the
+    imaginary parts into a new plane; returns (tail, imaginary plane).
     """
     grid, rows, last = _grid(x, n2)
-    spectrum = np.empty((n1 // 2 + 1, n2), dtype=np.complex128)
+    tail = np.empty((n1 // 2 + 1 - rows, n2))
+    imag = np.empty((n1 // 2 + 1, n2))
     buffer = np.zeros((_COLUMN_BLOCK, n1))  # the rows past the data stay zero
     for start in range(0, n2, _COLUMN_BLOCK):
         columns = buffer[:min(_COLUMN_BLOCK, n2 - start)]
@@ -135,24 +138,28 @@ def _column_spectra(x: np.ndarray, mean: float, scale: int, n1: int, n2: int) ->
         np.subtract(extra, mean, out=columns[:extra.size, rows])
         columns[extra.size:, rows] = 0.0
         np.ldexp(columns[:, :rows + 1], scale, out=columns[:, :rows + 1])
-        spectrum[:, start:stop] = scipy.fft.rfft(columns, axis=1).T
-    return spectrum
+        spectrum = scipy.fft.rfft(columns, axis=1).T
+        grid[:, start:stop], tail[:, start:stop] = np.split(spectrum.real, [rows])
+        imag[:, start:stop] = spectrum.imag
+    return tail, imag
 
 
-def _column_lags(spectrum: np.ndarray, x: np.ndarray, n1: int) -> None:
+def _column_lags(x: np.ndarray, tail: np.ndarray, imag: np.ndarray, n1: int) -> None:
     """Inverse real FFTs down the spectrum's columns, divided by lag 0, into x.
 
-    The inverse of _column_spectra: each block of columns is copied,
-    transposed, into one contiguous buffer, transformed along its rows,
-    and the lags below x.size are scattered back into x's grid.
+    The inverse of _column_spectra: each block of columns is gathered,
+    transposed, from the planes into one contiguous buffer, transformed
+    along its rows, and the lags below x.size are scattered back into
+    the grid cells just gathered and x's partial last row.
     """
-    n2 = spectrum.shape[1]
+    n2 = imag.shape[1]
     grid, rows, last = _grid(x, n2)
-    buffer = np.empty((_COLUMN_BLOCK, spectrum.shape[0]), dtype=np.complex128)
+    buffer = np.empty((_COLUMN_BLOCK, imag.shape[0]), dtype=np.complex128)
     for start in range(0, n2, _COLUMN_BLOCK):
         columns = buffer[:min(_COLUMN_BLOCK, n2 - start)]
         stop = start + columns.shape[0]
-        columns[...] = spectrum[:, start:stop].T
+        np.concatenate((grid[:, start:stop], tail[:, start:stop]), out=columns.real.T)
+        columns.imag = imag[:, start:stop].T
         lags = scipy.fft.irfft(columns, n1, axis=1, overwrite_x=True)
         if start == 0:
             lag0 = lags[0, 0]
@@ -171,7 +178,8 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
     grid with n2 columns and zero rows after it: length-n1 real FFTs
     down the columns (_column_spectra), a twiddle factor, length-n2 FFTs
     along cache-sized blocks of rows, |X|**2, and the same steps back;
-    _column_lags writes the normalized lags below n into x. Short series
+    _column_lags writes the normalized lags below n into x. Each row
+    block is built from the two planes and split back. Short series
     (n2 == 1) are centred and scaled in place and run the one real FFT
     of length next_fast_len(2n) and its inverse.
     """
@@ -193,17 +201,25 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
         lags = scipy.fft.irfft(spectrum, n1, overwrite_x=True)
         np.divide(lags[:n], lags[0], out=x)
         return
-    spectrum = _column_spectra(x, mean, scale, n1, n2)
+    tail, imag = _column_spectra(x, mean, scale, n1, n2)
+    grid, rows, _ = _grid(x, n2)
     step = max(1, _SPLIT_BLOCK // n2)
-    for start in range(0, spectrum.shape[0], step):
-        block = spectrum[start:start + step]
-        twiddle = _twiddles(np.arange(start, start + block.shape[0]), n2, n1 * n2)
+    buffer = np.empty((step, n2), dtype=np.complex128)
+    for start in range(0, imag.shape[0], step):
+        block = buffer[:min(step, imag.shape[0] - start)]
+        stop = start + block.shape[0]
+        real = grid[start:stop], tail[max(start - rows, 0):max(stop - rows, 0)]
+        np.concatenate(real, out=block.real)
+        block.imag = imag[start:stop]
+        twiddle = _twiddles(np.arange(start, stop), n2, n1 * n2)
         block *= twiddle
         transformed = scipy.fft.fft(block, axis=1, overwrite_x=True)
         _power_in_place(transformed)
         np.multiply(scipy.fft.ifft(transformed, axis=1, overwrite_x=True),
                     np.conjugate(twiddle, out=twiddle), out=block)
-    _column_lags(spectrum, x, n1)
+        real[0][...], real[1][...] = np.split(block.real, [real[0].shape[0]])
+        imag[start:stop] = block.imag
+    _column_lags(x, tail, imag, n1)
 
 
 def detrend_acf(acf: TimeSeries) -> TimeSeries:

@@ -170,7 +170,8 @@ def design_butterworth_lowpass(order: int, cutoff: float) -> FilterSpec:
 
     Raises:
         ValueError: order not a positive integer, cutoff not inside
-            (0, pi), or a cutoff so low that poles round onto z = 1.
+            (0, pi), or a cutoff so low that poles round onto z = 1 or
+            the DC gain is off 1 by more than 1e-6.
     """
     if order < 1 or order != int(order):
         raise ValueError(f"order must be a positive integer, got {order}")
@@ -183,6 +184,9 @@ def design_butterworth_lowpass(order: int, cutoff: float) -> FilterSpec:
         raise ValueError(
             f"order {order} at cutoff {cutoff} has no steady state: its poles round onto z = 1"
         ) from None
+    dc = np.prod(sos[:, :3].sum(axis=1) / sos[:, 3:].sum(axis=1))
+    if not abs(dc - 1.0) <= 1e-6:
+        raise ValueError(f"order {order} at cutoff {cutoff} has DC gain {dc:.6g}, not 1")
     return FilterSpec(order=int(order), cutoff=float(cutoff), sos=sos, zi=zi)
 
 
@@ -205,7 +209,7 @@ class DetectionConfig:
             the summed squared-error gap between the linear and the
             quadratic fit exceeds this value.
         zero_tolerance_rel: zero tolerance band, as a fraction of the
-            detrended autocorrelation's value range.
+            detrended autocorrelation's value range; must lie in [0, 0.5).
         quotient_threshold: jump size between consecutive distance
             quotients that starts a new segment; must lie in (0, 1).
         min_zero_count: fewest autocorrelation zeros required before a
@@ -235,8 +239,11 @@ class DetectionConfig:
             raise ValueError(
                 f"quotient_threshold must lie in (0, 1), got {self.quotient_threshold}"
             )
-        if not self.zero_tolerance_rel >= 0.0:
-            raise ValueError(f"zero_tolerance_rel must be >= 0, got {self.zero_tolerance_rel}")
+        # From half the range the band can hold every lag and adds a zero.
+        if not 0.0 <= self.zero_tolerance_rel < 0.5:
+            raise ValueError(
+                f"zero_tolerance_rel must lie in [0, 0.5), got {self.zero_tolerance_rel}"
+            )
 
 
 @dataclass(frozen=True)

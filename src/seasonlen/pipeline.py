@@ -27,7 +27,7 @@ from seasonlen.core import (
     _nonfinite_error,
 )
 from seasonlen.detrend import _detrend_in_place, polynomial_residual
-from seasonlen.preprocess import _filter_in_place, _upsample, design_butterworth_lowpass
+from seasonlen.preprocess import _smooth, design_butterworth_lowpass
 from seasonlen.zerocross import _find_zeros, estimate_from_zeros
 
 __all__ = [
@@ -78,11 +78,11 @@ def detect_season_length(
             f"detection needs at least {MIN_DETECTION_LENGTH} observations, got {len(series)}"
         )
 
-    # One buffer carries the series from upsampling to the zero search;
-    # each stage kernel overwrites it, and the trend fits build their time
-    # index block by block, so no other array of its length is kept.
-    values = _upsample(series.values, config.interp_factor)
-    _filter_in_place(values, design_butterworth_lowpass(config.filter_order, config.filter_cutoff))
+    # One buffer carries the series from upsampling to the zero search: the
+    # filter streams through it, later kernels overwrite it, and the trend
+    # fits build their time index in blocks, so no other array that long is kept.
+    spec = design_butterworth_lowpass(config.filter_order, config.filter_cutoff)
+    values = _smooth(series.values, config.interp_factor, spec)
 
     spread = np.ptp(values)
     if not np.isfinite(spread):

@@ -7,6 +7,11 @@ measured downstream. Each pass starts from the steady-state response to
 its first sample, which suppresses the start-up transient that zero
 initial conditions would inject at the series edges. The memoised
 design (in core, re-exported here) solves that start state once.
+
+Upsampling and both passes stream through the one output array in
+cache-sized blocks, carrying the filter state between blocks, so only
+a block or two is held beside it and every value is bit for bit that
+of one whole-array pass.
 """
 
 from __future__ import annotations
@@ -37,22 +42,7 @@ def interpolate_linear(series: TimeSeries, factor: int) -> TimeSeries:
         raise ValueError(f"interpolation factor must be a positive integer, got {factor}")
     if factor == 1:
         return series
-    return TimeSeries(_upsample(series.values, int(factor)), series.delta / factor)
-
-
-def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
-    """interpolate_linear on a plain array, always into a new array the caller owns."""
-    if factor == 1:
-        return x.copy()
-    n = x.size
-    out = np.empty(factor * (n - 1) + 1, dtype=np.float64)
-    out[::factor] = x
-    step = x[1:] - x[:-1]
-    for offset in range(1, factor):
-        inserted = out[offset::factor]
-        np.multiply(step, offset / factor, out=inserted)
-        inserted += x[:-1]
-    return out
+    return TimeSeries(_smooth(series.values, factor), series.delta / factor)
 
 
 def apply_filter(series: TimeSeries, spec: FilterSpec) -> TimeSeries:
@@ -68,33 +58,58 @@ def apply_filter(series: TimeSeries, spec: FilterSpec) -> TimeSeries:
     Raises:
         TooShortError: fewer than 6*order+1 samples.
     """
-    values = series.values.copy()
-    _filter_in_place(values, spec)
-    return TimeSeries(values, series.delta)
+    return TimeSeries(_smooth(series.values, 1, spec), series.delta)
 
 
-def _filter_in_place(x: np.ndarray, spec: FilterSpec) -> None:
-    """apply_filter on a plain array, overwriting it with the filtered values.
+#: Upsampled values per block of the streamed passes: 256 KiB, within L2.
+_BLOCK = 1 << 15
 
-    Centred on its first sample, whose steady state is then zero, x is
-    filtered forward from rest and backward from the steady state of the
-    forward pass's last value. The result is copied back into x, so it is
-    C-contiguous, which keeps later einsum sums identical to those over
-    a fresh array.
+
+def _smooth(x: np.ndarray, factor: int, spec: FilterSpec | None = None) -> np.ndarray:
+    """x upsampled by factor into a new array, then filtered by spec unless it is None.
+
+    Each block of _BLOCK // factor raw intervals is interpolated, centred
+    on x[0] (whose steady state is then zero) and filtered forward from
+    the state the previous block left, the first from rest. The backward
+    pass walks the blocks from the end, from the steady state of the last
+    forward value, and adds x[0] back. One block makes one call per pass.
 
     Raises:
-        TooShortError: fewer than 6*order+1 samples.
+        ValueError: the output would be longer than numpy can index.
+        TooShortError: fewer than 6*order+1 values to filter.
     """
-    if x.size <= 6 * spec.order:
-        raise TooShortError(
-            f"filter of order {spec.order} needs more than {6 * spec.order} samples, "
-            f"got {x.size}"
+    factor, n = int(factor), x.size
+    length = factor * (n - 1) + 1
+    if length > np.iinfo(np.intp).max // x.itemsize:
+        raise ValueError(
+            f"interp_factor {factor} upsamples {n} values to {length}, more than numpy can index"
         )
-    first = x[0]
-    x -= first
-    forward = signal.sosfilt(spec.sos, x)
-    backward, _ = signal.sosfilt(spec.sos, forward[::-1], zi=spec.zi * forward[-1])
-    np.add(backward[::-1], first, out=x)
+    if spec is not None and length <= 6 * spec.order:
+        raise TooShortError(
+            f"filter of order {spec.order} needs more than {6 * spec.order} samples, got {length}"
+        )
+    out = np.empty(length)
+    per = max(1, _BLOCK // factor)
+    # Raw intervals lo:hi of each block; the last block also holds x[-1].
+    bounds = [(lo, min(lo + per, n - 1)) for lo in range(0, n - 1, per)]
+    blocks = [out[lo * factor:hi * factor + (hi == n - 1)] for lo, hi in bounds]
+    state = None if spec is None else np.zeros_like(spec.zi)
+    for (lo, hi), block in zip(bounds, blocks):
+        block[::factor] = x[lo:hi + (hi == n - 1)]
+        step = x[lo + 1:hi + 1] - x[lo:hi]
+        for offset in range(1, factor):
+            inserted = block[offset::factor]
+            np.multiply(step, offset / factor, out=inserted)
+            inserted += x[lo:hi]
+        if spec is not None:
+            block -= x[0]
+            block[...], state = signal.sosfilt(spec.sos, block, zi=state)
+    if spec is not None:
+        state = spec.zi * out[-1]
+        for block in reversed(blocks):
+            backward, state = signal.sosfilt(spec.sos, block[::-1], zi=state)
+            np.add(backward[::-1], x[0], out=block)
+    return out
 
 
 def magnitude_response(spec: FilterSpec, omegas) -> np.ndarray:

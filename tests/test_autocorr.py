@@ -5,7 +5,17 @@ import pytest
 import scipy.fft
 from hypothesis import assume, example, given, settings, strategies as st
 
-from seasonlen.autocorr import _SPLIT_NFFT, _factor, autocorrelation, detrend_acf
+from seasonlen.autocorr import (
+    _COLUMN_BLOCK,
+    _SPLIT_BLOCK,
+    _SPLIT_NFFT,
+    _factor,
+    _grid,
+    _power_in_place,
+    _twiddles,
+    autocorrelation,
+    detrend_acf,
+)
 from seasonlen.core import NonFiniteError, TimeSeries, ZeroVarianceError, validate_series
 
 #: Half the threshold: next_fast_len(2n) == _SPLIT_NFFT, so the transform is split.
@@ -115,6 +125,50 @@ def noisy_sine(n, seed):
     return 5.0 + np.sin(2 * np.pi * np.arange(n) / 997.0) + rng.normal(0, 1, n)
 
 
+def complex_spectrum_acf(values):
+    """The four-step ACF with its half-spectrum kept as one complex array.
+
+    Step for step the module's kernel, but the (n1/2 + 1) x n2
+    half-spectrum is a new complex array beside the series instead of two
+    real planes, one of them the series' own grid. Storage is all that
+    differs, so the two agree bit for bit.
+    """
+    x = values.copy()
+    mean = x.mean()
+    scale = -int(np.frexp(max(x.max() - mean, mean - x.min()))[1])
+    n1, n2 = _factor(x.size)
+    grid, rows, last = _grid(x, n2)
+    spectrum = np.empty((n1 // 2 + 1, n2), dtype=np.complex128)
+    buffer = np.zeros((_COLUMN_BLOCK, n1))
+    for start in range(0, n2, _COLUMN_BLOCK):
+        columns = buffer[:min(_COLUMN_BLOCK, n2 - start)]
+        stop = start + columns.shape[0]
+        np.subtract(grid[:, start:stop].T, mean, out=columns[:, :rows])
+        extra = last[start:stop]
+        np.subtract(extra, mean, out=columns[:extra.size, rows])
+        columns[extra.size:, rows] = 0.0
+        np.ldexp(columns[:, :rows + 1], scale, out=columns[:, :rows + 1])
+        spectrum[:, start:stop] = scipy.fft.rfft(columns, axis=1).T
+    step = max(1, _SPLIT_BLOCK // n2)
+    for start in range(0, spectrum.shape[0], step):
+        block = spectrum[start:start + step]
+        twiddle = _twiddles(np.arange(start, start + block.shape[0]), n2, n1 * n2)
+        block *= twiddle
+        transformed = scipy.fft.fft(block, axis=1, overwrite_x=True)
+        _power_in_place(transformed)
+        np.multiply(scipy.fft.ifft(transformed, axis=1, overwrite_x=True),
+                    np.conjugate(twiddle, out=twiddle), out=block)
+    for start in range(0, n2, _COLUMN_BLOCK):
+        stop = min(start + _COLUMN_BLOCK, n2)
+        lags = scipy.fft.irfft(spectrum[:, start:stop].T, n1, axis=1)
+        if start == 0:
+            lag0 = lags[0, 0]
+        np.divide(lags[:, :rows].T, lag0, out=grid[:, start:stop])
+        extra = last[start:stop]
+        np.divide(lags[:extra.size, rows], lag0, out=extra)
+    return x
+
+
 class TestSplitTransform:
     """Series long enough for the four-step transform (n2 > 1 columns)."""
 
@@ -141,6 +195,18 @@ class TestSplitTransform:
         assert _factor(n)[1] == 1
         x = noisy_sine(n, 4)
         assert np.array_equal(autocorrelation(validate_series(x)).values, monolithic_acf(x))
+
+    # 130,978 is the shortest split length. The tail past the grid holds
+    # 1 to 15 rows; 131,072 fills its grid and the others leave a partial
+    # last row; from 262,139 on, a row-pass block holds rows of both.
+    @pytest.mark.parametrize(
+        "n", [130_978, SPLIT_N, SPLIT_N + 1, 131_101, 262_139, 300_000, 393_209]
+    )
+    def test_planar_half_spectrum_is_the_complex_one_bit_for_bit(self, n):
+        assert _factor(n)[1] > 1
+        x = noisy_sine(n, n)
+        ours = autocorrelation(validate_series(x)).values
+        assert ours.tobytes() == complex_spectrum_acf(x).tobytes()
 
     def test_constant_raises(self):
         with pytest.raises(ZeroVarianceError):

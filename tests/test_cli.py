@@ -259,6 +259,15 @@ class TestDetectCommand:
             "error: ValueError: delimiter must be one character other than a line break, got ';;'\n"
         )
 
+    def test_tolerance_of_half_the_range_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 24, 96)
+        code = main(["detect", "--input", str(path), "--epsilon", "0.5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ValueError: zero_tolerance_rel must lie in [0, 0.5), got 0.5\n"
+        )
+
     def test_undesignable_filter_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sine.csv"
         write_sine_csv(path, 24, 96)

@@ -100,12 +100,19 @@ class TestDetectionConfig:
             {"quotient_threshold": 0.0},
             {"quotient_threshold": 1.0},
             {"zero_tolerance_rel": -1e-9},
+            # From half the range the band can hold every lag and adds a zero.
+            {"zero_tolerance_rel": 0.5},
+            {"zero_tolerance_rel": 1.0},
+            {"zero_tolerance_rel": math.inf},
             {"min_zero_count": 0},
             {"interp_factor": 2.5},
             {"filter_order": 2.5},
             # No steady state: the poles round onto z = 1.
             {"filter_order": 2, "filter_cutoff": 1e-8},
             {"filter_order": 1, "filter_cutoff": 1e-21},
+            # A steady state, but a DC gain off 1 by 1.3e-2 and by 0.19.
+            {"filter_order": 2, "filter_cutoff": 3e-8},
+            {"filter_order": 4, "filter_cutoff": 1e-8},
             # Values that used to build and then silently changed meaning.
             {"zero_tolerance_rel": math.nan},
             {"trend_log_threshold": math.nan},

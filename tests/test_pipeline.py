@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seasonlen.autocorr import autocorrelation, detrend_acf
+from seasonlen.autocorr import _autocorrelation_in_place, autocorrelation, detrend_acf
 from seasonlen.core import (
     DetectionConfig,
     DetectionDiagnostics,
@@ -27,7 +27,12 @@ from seasonlen.pipeline import (
     is_repetition_of_shorter,
     repeats_with_period,
 )
-from seasonlen.preprocess import apply_filter, design_butterworth_lowpass, interpolate_linear
+from seasonlen.preprocess import (
+    _smooth,
+    apply_filter,
+    design_butterworth_lowpass,
+    interpolate_linear,
+)
 from seasonlen.synthgen import FAMILY_NAMES, gen_family
 from seasonlen.zerocross import estimate_from_zeros, find_zeros
 
@@ -120,6 +125,18 @@ class TestDetectSeasonLength:
         # A TimeSeries may hold 2 or 3 values; detection itself needs 4.
         with pytest.raises(TooShortError, match="at least 4 observations, got 3"):
             detect_season_length(TimeSeries(np.array([1.0, 2.0, 3.0])))
+
+    def test_unindexable_interp_factor_is_rejected_before_allocating(self):
+        config = DetectionConfig(interp_factor=2**62)
+        with pytest.raises(ValueError, match="interp_factor .* more than numpy can index"):
+            detect_season_length(validate_series([1.0, 2.0, 0.0, 1.0]), config)
+
+    def test_whole_float_interp_factor_detects_as_the_integer(self):
+        # 4.0 passes validation as a whole number; the upsampled length
+        # is computed as an int, so it no longer ends in a TypeError.
+        series = sine_series(250, 3000)
+        config = DetectionConfig(interp_factor=4.0)
+        assert detect_season_length(series, config) == detect_season_length(series)
 
     def test_min_zero_count_gate(self):
         config = DetectionConfig(
@@ -222,13 +239,16 @@ class TestDetectSeasonLength:
             detect_season_length(series)
 
     @staticmethod
-    def traced_peak_in_upsampled_arrays(n):
-        """Peak traced memory of one detection of n raw samples, in upsampled arrays."""
+    def traced_peak_in_upsampled_arrays(n, stage=detect_season_length):
+        """Peak traced memory of stage(series) on n raw samples, in upsampled arrays.
+
+        The series is a noisy sine; the second of two calls is traced.
+        """
         series = sine_series(1000, n, noise=0.5, seed=0)
-        detect_season_length(series)
+        stage(series)
         tracemalloc.start()
         try:
-            detect_season_length(series)
+            stage(series)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -248,10 +268,25 @@ class TestDetectSeasonLength:
         assert self.traced_peak_in_upsampled_arrays(100_000) <= 5
 
     def test_peak_traced_memory_at_a_million_samples(self):
-        # About 3.3 arrays: the buffer, the half-spectrum and column blocks
-        # of 128 x 2880 values. A whole-length time index, kept from the
-        # trend fit to the autocorrelation's line fit, took it to 4.1.
-        assert self.traced_peak_in_upsampled_arrays(1_000_000) <= 3.75
+        # About 2.35 arrays: the buffer, which also holds the real half of
+        # the half-spectrum, its imaginary half and column blocks of
+        # 128 x 2880 values. The half-spectrum as one complex array beside
+        # the buffer took it to 3.34, and a whole-length time index, kept
+        # from the trend fit to the autocorrelation's line fit, to 4.1.
+        assert self.traced_peak_in_upsampled_arrays(1_000_000) <= 2.6
+
+    def test_peak_traced_memory_of_each_stage_at_a_million_samples(self):
+        # Upsampling and both filter passes stream through the one output
+        # array: about 1.02 arrays, where a whole forward output and its
+        # reversed copy took it to 3.0. The autocorrelation, with the
+        # buffer it works in, takes about 2.35.
+        spec = design_butterworth_lowpass(2, 0.001 * math.pi)
+        assert self.traced_peak_in_upsampled_arrays(
+            1_000_000, lambda series: _smooth(series.values, 4, spec)
+        ) <= 1.2
+        assert self.traced_peak_in_upsampled_arrays(
+            1_000_000, lambda series: _autocorrelation_in_place(_smooth(series.values, 4))
+        ) <= 2.6
 
     @pytest.mark.parametrize(
         "amplitude, offset, period, n",

@@ -9,6 +9,8 @@ from scipy import signal
 
 from seasonlen.core import TimeSeries, TooShortError, validate_series
 from seasonlen.preprocess import (
+    _BLOCK,
+    _smooth,
     apply_filter,
     design_butterworth_lowpass,
     interpolate_linear,
@@ -57,6 +59,11 @@ class TestInterpolateLinear:
     def test_bad_factor(self):
         with pytest.raises(ValueError):
             interpolate_linear(TimeSeries(np.array([1.0, 2.0])), 0)
+
+    def test_unindexable_length_is_rejected_before_allocating(self):
+        # 3 * 2**62 + 1 values: numpy cannot index the output.
+        with pytest.raises(ValueError, match="interp_factor 4611686018427387904 upsamples 4"):
+            interpolate_linear(TimeSeries(np.arange(4.0)), 2**62)
 
     @given(values=sane_values, factor=st.integers(min_value=1, max_value=5))
     @settings(max_examples=60)
@@ -127,6 +134,13 @@ class TestButterworthDesign:
         with pytest.raises(ValueError, match=f"order {order} at cutoff {cutoff} has no steady"):
             design_butterworth_lowpass(order, cutoff)
 
+    @pytest.mark.parametrize("order, cutoff, gain", [(2, 3e-8, "1.01331"), (4, 1e-8, "0.811296")])
+    def test_cutoff_that_loses_unit_dc_gain(self, order, cutoff, gain):
+        # The start state exists, but the detector's offset invariance
+        # rests on a unit DC gain, which these designs have lost.
+        with pytest.raises(ValueError, match=f"at cutoff {cutoff} has DC gain {gain}, not 1"):
+            design_butterworth_lowpass(order, cutoff)
+
     def test_start_state_is_the_steady_state(self):
         spec = design_butterworth_lowpass(4, 0.05 * math.pi)
         assert np.array_equal(spec.zi, signal.sosfilt_zi(spec.sos))
@@ -148,19 +162,53 @@ class TestButterworthDesign:
             assert np.all(np.abs(np.roots(section[3:])) < 1.0)
 
 
+def upsampled(x, factor):
+    """The linear upsampling as one whole-array pass."""
+    out = np.empty(factor * (x.size - 1) + 1)
+    out[::factor] = x
+    for offset in range(1, factor):
+        out[offset::factor] = (x[1:] - x[:-1]) * (offset / factor) + x[:-1]
+    return out
+
+
 class TestApplyFilter:
     @pytest.mark.parametrize("order", [1, 2, 4, 8])
     def test_bit_for_bit_equal_to_sosfiltfilt(self, order):
-        # The reference solves the start state on every call; the filter
-        # takes it from the design, and must not change a single bit.
-        # 13, 25 and 49 are the shortest lengths at orders 2, 4 and 8.
-        for n in (l for l in (13, 25, 49, 1_000, 40_000, 40_003) if l > 6 * order):
-            x = 1e3 + np.random.default_rng(n + order).normal(0, 1, n).cumsum()
-            for cutoff in (0.001 * math.pi, 0.05 * math.pi, 0.5 * math.pi):
-                spec = design_butterworth_lowpass(order, cutoff)
-                want = signal.sosfiltfilt(spec.sos, x - x[0], padtype=None) + x[0]
-                got = apply_filter(validate_series(x), spec).values
-                assert got.tobytes() == want.tobytes(), (n, cutoff)
+        # The reference solves the start state on every call and runs each
+        # pass over the whole array; the filter takes the state from the
+        # design and streams blocks of _BLOCK // factor raw intervals, and
+        # must not change a single bit. 13, 25 and 49 are the shortest
+        # lengths at orders 2, 4 and 8; the last three end one interval
+        # before, on and after the first block's edge.
+        for factor in (1, 4):
+            edges = (_BLOCK // factor, _BLOCK // factor + 1, _BLOCK // factor + 2)
+            for n in (13, 25, 49, 1_000, 40_000, 40_003, *edges):
+                if factor * (n - 1) + 1 <= 6 * order:
+                    continue
+                x = 1e3 + np.random.default_rng(n + order).normal(0, 1, n).cumsum()
+                whole = upsampled(x, factor)
+                assert _smooth(x, factor).tobytes() == whole.tobytes(), (n, factor)
+                for cutoff in (0.001 * math.pi, 0.05 * math.pi, 0.5 * math.pi):
+                    spec = design_butterworth_lowpass(order, cutoff)
+                    want = signal.sosfiltfilt(spec.sos, whole - x[0], padtype=None) + x[0]
+                    got = (
+                        apply_filter(validate_series(x), spec).values
+                        if factor == 1 else _smooth(x, factor, spec)
+                    )
+                    assert got.tobytes() == want.tobytes(), (n, factor, cutoff)
+
+    @pytest.mark.parametrize("intervals, calls", [(2, 2), (_BLOCK // 4, 2), (_BLOCK // 4 + 1, 4)])
+    def test_one_call_per_pass_and_block(self, monkeypatch, intervals, calls):
+        # At most one block: exactly one forward and one backward call.
+        sosfilt, lengths = signal.sosfilt, []
+
+        def counted(sos, x, zi):
+            lengths.append(x.size)
+            return sosfilt(sos, x, zi=zi)
+
+        monkeypatch.setattr(signal, "sosfilt", counted)
+        _smooth(np.arange(intervals + 1.0), 4, design_butterworth_lowpass(1, 0.05 * math.pi))
+        assert len(lengths) == calls and sum(lengths) == 2 * (4 * intervals + 1)
 
     def test_constant_passthrough(self):
         spec = design_butterworth_lowpass(2, 0.05 * math.pi)
