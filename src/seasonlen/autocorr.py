@@ -15,6 +15,9 @@ in separate passes over its whole length. The (n1/2 + 1) x n2
 half-spectrum is two real planes: the real one is the series' own grid,
 whose cells each column batch copies out before writing them, plus a
 few tail rows; the imaginary one is the only new series-sized array.
+The autocorrelation is real and even, so half the inverse suffices:
+one inverse Hermitian FFT per row gives the first n2//2 + 1 columns,
+only those are transformed down, and each fills its mirror column.
 Shorter series run the one monolithic transform.
 
 Even a well-detrended series leaves the autocorrelation with a small
@@ -108,14 +111,6 @@ def _grid(x: np.ndarray, n2: int) -> tuple[np.ndarray, int, np.ndarray]:
     return x[:rows * n2].reshape(rows, n2), rows, x[rows * n2:]
 
 
-def _power_in_place(block: np.ndarray) -> None:
-    """Overwrite a complex block with |block|**2 (imaginary part 0)."""
-    power = np.abs(block)
-    np.square(power, out=power)
-    block.real = power
-    block.imag = 0.0
-
-
 def _column_spectra(x: np.ndarray, mean: float, scale: int, n1: int, n2: int) -> tuple:
     """Real FFTs of length n1 down the n2 columns of the centred, scaled x.
 
@@ -145,27 +140,36 @@ def _column_spectra(x: np.ndarray, mean: float, scale: int, n1: int, n2: int) ->
 
 
 def _column_lags(x: np.ndarray, tail: np.ndarray, imag: np.ndarray, n1: int) -> None:
-    """Inverse real FFTs down the spectrum's columns, divided by lag 0, into x.
+    """Inverse real FFTs down the spectrum's first n2//2 + 1 columns, divided by lag 0, into x.
 
     The inverse of _column_spectra: each block of columns is gathered,
-    transposed, from the planes into one contiguous buffer, transformed
-    along its rows, and the lags below x.size are scattered back into
-    the grid cells just gathered and x's partial last row.
+    transposed, from the planes into one contiguous buffer and
+    transformed along its rows. The lags below x.size are scattered back
+    into the grid cells just gathered and x's partial last row. The
+    lags are even, so row a of column n2 - b is row n1 - 1 - a of column
+    b: each column's last rows, reversed, fill its mirror column, which
+    holds no spectrum. For even n2 the centre column is its own mirror.
     """
     n2 = imag.shape[1]
+    half = n2 // 2 + 1
     grid, rows, last = _grid(x, n2)
     buffer = np.empty((_COLUMN_BLOCK, imag.shape[0]), dtype=np.complex128)
-    for start in range(0, n2, _COLUMN_BLOCK):
-        columns = buffer[:min(_COLUMN_BLOCK, n2 - start)]
+    for start in range(0, half, _COLUMN_BLOCK):
+        columns = buffer[:min(_COLUMN_BLOCK, half - start)]
         stop = start + columns.shape[0]
         np.concatenate((grid[:, start:stop], tail[:, start:stop]), out=columns.real.T)
         columns.imag = imag[:, start:stop].T
-        lags = scipy.fft.irfft(columns, n1, axis=1, overwrite_x=True)
+        lags = scipy.fft.irfft(columns, n1, axis=1, overwrite_x=True, norm="forward")
         if start == 0:
             lag0 = lags[0, 0]
-        np.divide(lags[:, :rows].T, lag0, out=grid[:, start:stop])
-        extra = last[start:stop]
-        np.divide(lags[:extra.size, rows], lag0, out=extra)
+        # Columns b in [lo, hi) have mirrors; theirs run n2 - hi + 1 .. n2 - lo.
+        lo = max(start, 1)
+        hi = max(lo, min(stop, n2 - half + 1))
+        mirror = lags[lo - start:hi - start, ::-1][::-1]
+        for source, first in ((lags, start), (mirror, n2 - hi + 1)):
+            np.divide(source[:, :rows].T, lag0, out=grid[:, first:first + source.shape[0]])
+            extra = last[first:first + source.shape[0]]
+            np.divide(source[:extra.size, rows], lag0, out=extra)
 
 
 def _autocorrelation_in_place(x: np.ndarray) -> None:
@@ -179,9 +183,13 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
     down the columns (_column_spectra), a twiddle factor, length-n2 FFTs
     along cache-sized blocks of rows, |X|**2, and the same steps back;
     _column_lags writes the normalized lags below n into x. Each row
-    block is built from the two planes and split back. Short series
-    (n2 == 1) are centred and scaled in place and run the one real FFT
-    of length next_fast_len(2n) and its inverse.
+    block is built from the two planes; its power is real, so the
+    inverse Hermitian FFT of length n2 gives the inverse's first
+    n2//2 + 1 columns, which go back into the planes' first columns, in
+    rows the pass has already read. Both inverses are unscaled: dividing
+    by lag 0 takes out their factor n1 * n2. Short series (n2 == 1) are
+    centred and scaled in place and run the one real FFT of length
+    next_fast_len(2n) and its inverse.
     """
     n = x.size
     mean = x.mean()
@@ -197,14 +205,16 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
         x -= mean
         np.ldexp(x, scale, out=x)
         spectrum = scipy.fft.rfft(x, n1)
-        _power_in_place(spectrum)
+        np.square(np.abs(spectrum), out=spectrum.real)
+        spectrum.imag = 0.0
         lags = scipy.fft.irfft(spectrum, n1, overwrite_x=True)
         np.divide(lags[:n], lags[0], out=x)
         return
     tail, imag = _column_spectra(x, mean, scale, n1, n2)
     grid, rows, _ = _grid(x, n2)
-    step = max(1, _SPLIT_BLOCK // n2)
+    step, half = max(1, _SPLIT_BLOCK // n2), n2 // 2 + 1
     buffer = np.empty((step, n2), dtype=np.complex128)
+    squares = np.empty((step, n2))
     for start in range(0, imag.shape[0], step):
         block = buffer[:min(step, imag.shape[0] - start)]
         stop = start + block.shape[0]
@@ -214,11 +224,12 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
         twiddle = _twiddles(np.arange(start, stop), n2, n1 * n2)
         block *= twiddle
         transformed = scipy.fft.fft(block, axis=1, overwrite_x=True)
-        _power_in_place(transformed)
-        np.multiply(scipy.fft.ifft(transformed, axis=1, overwrite_x=True),
-                    np.conjugate(twiddle, out=twiddle), out=block)
-        real[0][...], real[1][...] = np.split(block.real, [real[0].shape[0]])
-        imag[start:stop] = block.imag
+        power = np.square(transformed.real, out=squares[:block.shape[0]])
+        power += np.square(transformed.imag, out=transformed.imag)
+        inverse = scipy.fft.ihfft(power, axis=1, norm="forward")
+        inverse *= np.conjugate(twiddle[:, :half], out=twiddle[:, :half])
+        real[0][:, :half], real[1][:, :half] = np.split(inverse.real, [real[0].shape[0]])
+        imag[start:stop, :half] = inverse.imag
     _column_lags(x, tail, imag, n1)
 
 
@@ -229,6 +240,6 @@ def detrend_acf(acf: TimeSeries) -> TimeSeries:
     return TimeSeries(values, acf.delta)
 
 
-def _detrend_acf_in_place(acf: np.ndarray) -> None:
-    """detrend_acf on a plain array, overwriting it."""
-    _subtract_trend_in_place(acf, _fit(acf, 1))
+def _detrend_acf_in_place(acf: np.ndarray, index=None) -> None:
+    """detrend_acf on a plain array, overwriting it; index as for detrend's passes."""
+    _subtract_trend_in_place(acf, _fit(acf, 1, index), index)

@@ -165,6 +165,7 @@ def _config_from_args(args: argparse.Namespace) -> DetectionConfig:
         trend_log_threshold=args.trend_threshold,
         zero_tolerance_rel=args.epsilon,
         quotient_threshold=args.quotient_threshold,
+        min_zero_count=args.min_zero_count,
     )
 
 
@@ -352,6 +353,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="zero tolerance band relative to the correlation range")
     parser.add_argument("--quotient-threshold", type=float, default=defaults.quotient_threshold,
                         help="distance quotient jump that starts a new segment")
+    parser.add_argument("--min-zero-count", type=int, default=defaults.min_zero_count,
+                        help="fewest autocorrelation zeros that can give a season")
 
 
 def build_parser() -> argparse.ArgumentParser:

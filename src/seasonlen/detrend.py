@@ -15,10 +15,11 @@ threads. Every pass runs block by block: t is built one cache-sized
 block at a time from one arange, the sums accumulate per block (the
 quadratic one over a block of x centred in a work array), and the trend
 is subtracted in place with Horner's rule in another work array. No
-array of the series' length is allocated. Detection selects the degree
-and removes the trend in one call that computes the mean, sum(t*x) and
-sum(q*x) once; the exported functions copy their input and run the same
-code. Coefficients are reported in the basis of design_matrix, which
+array of the series' length is allocated past one block; detection
+builds t once for a series of one block and shares it among its
+passes. Detection selects the degree and removes the trend in one call
+that computes the mean, sum(t*x) and sum(q*x) once; the exported
+functions copy their input and run the same code. Coefficients are reported in the basis of design_matrix, which
 defines them but is never built on this path.
 """
 
@@ -91,13 +92,17 @@ def _q_squared_sum(n: int) -> float:
     return (n * n - 1) * (n * n - 4) / (180.0 * n**3)
 
 
-def _index_blocks(n: int):
+def _index_blocks(n: int, index: np.ndarray | None = None):
     """The centred index t of n samples, one block of at most _BLOCK at a time.
 
     Yields (start, t[start:start + _BLOCK]) in one reused work array,
     shifted and scaled from _RAMP; i - (n+1)/2 is exact, so every value
-    equals _centered_index(n)'s.
+    equals _centered_index(n)'s. A caller that holds the whole of t, as
+    index, gets it back as the one block instead.
     """
+    if index is not None:
+        yield 0, index
+        return
     work = np.empty(min(_BLOCK, n))
     offset = (n + 1) / 2.0
     for start in range(0, n, _BLOCK):
@@ -107,7 +112,12 @@ def _index_blocks(n: int):
         yield start, t
 
 
-def _inner_products(x: np.ndarray, mean: float, degree: int) -> tuple[float, float]:
+def _shared_index(n: int) -> np.ndarray | None:
+    """The whole of t, for the passes over a series of one block to share; None past that."""
+    return _centered_index(n) if n <= _BLOCK else None
+
+
+def _inner_products(x: np.ndarray, mean: float, degree: int, index=None) -> tuple[float, float]:
     """sum(t*x) and, for degree 2, sum(q*x) = sum(t**2 * (x - mean(x))); else 0.
 
     Both are summed block by block. Each block of x is centred in a
@@ -116,7 +126,7 @@ def _inner_products(x: np.ndarray, mean: float, degree: int) -> tuple[float, flo
     """
     linear = quadratic = 0.0
     centred = np.empty(min(_BLOCK, x.size)) if degree == 2 else None
-    for start, t in _index_blocks(x.size):
+    for start, t in _index_blocks(x.size, index):
         block = x[start:start + t.size]
         linear += float(np.einsum("i,i->", t, block))
         if degree == 2:
@@ -165,13 +175,13 @@ def _coefficients(
     return mean - c2 * _t_squared_sum(n) / n, c1, c2
 
 
-def _fit(x: np.ndarray, degree: int) -> tuple[float, ...]:
+def _fit(x: np.ndarray, degree: int, index=None) -> tuple[float, ...]:
     """design_matrix coefficients of the least-squares fit of that degree to x."""
     mean = float(x.mean())
-    return _coefficients(x.size, degree, mean, *_inner_products(x, mean, degree))
+    return _coefficients(x.size, degree, mean, *_inner_products(x, mean, degree, index))
 
 
-def _subtract_trend_in_place(x: np.ndarray, coefficients) -> None:
+def _subtract_trend_in_place(x: np.ndarray, coefficients, index=None) -> None:
     """x -= the polynomial with design_matrix coefficients, one block at a time.
 
     Each block's trend is evaluated by Horner's rule at that block of t
@@ -179,7 +189,7 @@ def _subtract_trend_in_place(x: np.ndarray, coefficients) -> None:
     every value is rounded exactly as a whole-array evaluation rounds it.
     """
     work = np.empty(min(_BLOCK, x.size), dtype=np.float64)
-    for start, t in _index_blocks(x.size):
+    for start, t in _index_blocks(x.size, index):
         trend = work[: t.size]
         np.multiply(t, coefficients[-1], out=trend)
         trend += coefficients[-2]
@@ -189,16 +199,16 @@ def _subtract_trend_in_place(x: np.ndarray, coefficients) -> None:
         x[start:start + t.size] -= trend
 
 
-def _detrend_in_place(x: np.ndarray, k_trend: float) -> int:
+def _detrend_in_place(x: np.ndarray, k_trend: float, index=None) -> int:
     """select_trend_degree, then that degree's residual written over x.
 
-    Selection and fit share one mean, one sum(t*x) and one sum(q*x).
-    Returns the degree.
+    Selection and fit share one mean, one sum(t*x) and one sum(q*x). Both
+    passes read t from index when the caller holds it. Returns the degree.
     """
     mean = float(x.mean())
-    linear, quadratic = _inner_products(x, mean, 2)
+    linear, quadratic = _inner_products(x, mean, 2, index)
     degree = _degree(quadratic, x.size, k_trend)
-    _subtract_trend_in_place(x, _coefficients(x.size, degree, mean, linear, quadratic))
+    _subtract_trend_in_place(x, _coefficients(x.size, degree, mean, linear, quadratic), index)
     return degree
 
 

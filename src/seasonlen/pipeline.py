@@ -26,7 +26,7 @@ from seasonlen.core import (
     ZeroVarianceError,
     _nonfinite_error,
 )
-from seasonlen.detrend import _detrend_in_place, polynomial_residual
+from seasonlen.detrend import _detrend_in_place, _shared_index, polynomial_residual
 from seasonlen.preprocess import _smooth, design_butterworth_lowpass
 from seasonlen.zerocross import _find_zeros, estimate_from_zeros
 
@@ -90,13 +90,14 @@ def detect_season_length(
     if spread == 0.0:
         return _result(1)
 
-    degree = _detrend_in_place(values, config.trend_log_threshold)
+    index = _shared_index(values.size)
+    degree = _detrend_in_place(values, config.trend_log_threshold, index)
 
     try:
         _autocorrelation_in_place(values)
     except ZeroVarianceError:
         return _result(degree)
-    _detrend_acf_in_place(values)
+    _detrend_acf_in_place(values, index)
 
     zeros = _find_zeros(values, config.zero_tolerance_rel)
     if zeros.size < config.min_zero_count:

@@ -11,7 +11,6 @@ from seasonlen.autocorr import (
     _SPLIT_NFFT,
     _factor,
     _grid,
-    _power_in_place,
     _twiddles,
     autocorrelation,
     detrend_acf,
@@ -126,12 +125,15 @@ def noisy_sine(n, seed):
 
 
 def complex_spectrum_acf(values):
-    """The four-step ACF with its half-spectrum kept as one complex array.
+    """The four-step ACF with plain storage and an explicit mirror loop.
 
-    Step for step the module's kernel, but the (n1/2 + 1) x n2
-    half-spectrum is a new complex array beside the series instead of two
-    real planes, one of them the series' own grid. Storage is all that
-    differs, so the two agree bit for bit.
+    The module's arithmetic, step for step, with none of its storage: the
+    (n1/2 + 1) x n2 half-spectrum is a new complex array, the row pass's
+    inverse a second complex (n1/2 + 1) x h array with h = n2//2 + 1, and
+    the lags are written column by column through strided views of the
+    result. Each column b with 0 < b < n2 - b also fills column n2 - b
+    from its own lags read backwards, which is r[j] = r[n1*n2 - j].
+    Storage is all that differs, so the two agree bit for bit.
     """
     x = values.copy()
     mean = x.mean()
@@ -149,24 +151,31 @@ def complex_spectrum_acf(values):
         columns[extra.size:, rows] = 0.0
         np.ldexp(columns[:, :rows + 1], scale, out=columns[:, :rows + 1])
         spectrum[:, start:stop] = scipy.fft.rfft(columns, axis=1).T
+    half = n2 // 2 + 1
+    inverse = np.empty((n1 // 2 + 1, half), dtype=np.complex128)
     step = max(1, _SPLIT_BLOCK // n2)
     for start in range(0, spectrum.shape[0], step):
         block = spectrum[start:start + step]
         twiddle = _twiddles(np.arange(start, start + block.shape[0]), n2, n1 * n2)
-        block *= twiddle
-        transformed = scipy.fft.fft(block, axis=1, overwrite_x=True)
-        _power_in_place(transformed)
-        np.multiply(scipy.fft.ifft(transformed, axis=1, overwrite_x=True),
-                    np.conjugate(twiddle, out=twiddle), out=block)
-    for start in range(0, n2, _COLUMN_BLOCK):
-        stop = min(start + _COLUMN_BLOCK, n2)
-        lags = scipy.fft.irfft(spectrum[:, start:stop].T, n1, axis=1)
+        transformed = scipy.fft.fft(block * twiddle, axis=1)
+        power = transformed.real**2 + transformed.imag**2
+        inverse[start:start + block.shape[0]] = (
+            scipy.fft.ihfft(power, axis=1, norm="forward") * np.conjugate(twiddle[:, :half])
+        )
+    acf = np.empty_like(x)
+    for start in range(0, half, _COLUMN_BLOCK):
+        stop = min(start + _COLUMN_BLOCK, half)
+        lags = scipy.fft.irfft(inverse[:, start:stop].T, n1, axis=1, norm="forward")
         if start == 0:
             lag0 = lags[0, 0]
-        np.divide(lags[:, :rows].T, lag0, out=grid[:, start:stop])
-        extra = last[start:stop]
-        np.divide(lags[:extra.size, rows], lag0, out=extra)
-    return x
+        for b in range(start, stop):
+            column = lags[b - start] / lag0
+            own = acf[b::n2]
+            own[:] = column[:own.size]
+            if 0 < b < n2 - b:
+                mirror = acf[n2 - b::n2]
+                mirror[:] = column[::-1][:mirror.size]
+    return acf
 
 
 class TestSplitTransform:
@@ -199,14 +208,34 @@ class TestSplitTransform:
     # 130,978 is the shortest split length. The tail past the grid holds
     # 1 to 15 rows; 131,072 fills its grid and the others leave a partial
     # last row; from 262,139 on, a row-pass block holds rows of both.
+    # n2 is odd at 144,958 (539), 393,209 (891) and 4,000,000 (2835), and
+    # even elsewhere, 1440 at 1,000,003. The partial last row reaches the
+    # mirrored columns at 144,958 (506 of 539) and 300,000 (512 of 784).
     @pytest.mark.parametrize(
-        "n", [130_978, SPLIT_N, SPLIT_N + 1, 131_101, 262_139, 300_000, 393_209]
+        "n",
+        [130_978, SPLIT_N, SPLIT_N + 1, 131_101, 144_958, 262_139, 300_000, 393_209,
+         1_000_003],
     )
     def test_planar_half_spectrum_is_the_complex_one_bit_for_bit(self, n):
         assert _factor(n)[1] > 1
         x = noisy_sine(n, n)
         ours = autocorrelation(validate_series(x)).values
         assert ours.tobytes() == complex_spectrum_acf(x).tobytes()
+
+    @pytest.mark.parametrize("n", [144_958, 1_000_003])
+    def test_inverse_column_pass_transforms_half_the_columns(self, n, monkeypatch):
+        # The lags are even, so the columns past n2//2 are mirrors, not transforms.
+        n1, n2 = _factor(n)
+        counted = []
+        irfft = scipy.fft.irfft
+
+        def counting(columns, *args, **kwargs):
+            counted.append(columns.shape[0])
+            return irfft(columns, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "irfft", counting)
+        autocorrelation(validate_series(noisy_sine(n, 0)))
+        assert sum(counted) == n2 // 2 + 1
 
     def test_constant_raises(self):
         with pytest.raises(ZeroVarianceError):

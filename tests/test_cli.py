@@ -14,7 +14,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from seasonlen.cli import (
     EvalRecord,
+    _config_from_args,
     _score,
+    build_parser,
     evaluate_manifest,
     format_summary,
     generate_suite,
@@ -277,6 +279,27 @@ class TestDetectCommand:
             "error: ValueError: filter_order, filter_cutoff: order 2 at cutoff 1e-08 has no"
             " steady state: its poles round onto z = 1\n"
         )
+
+    @pytest.mark.parametrize("command", [["detect", "--input", "x.csv"], ["eval", "m.jsonl"]])
+    def test_min_zero_count_reaches_the_config(self, command):
+        args = build_parser().parse_args(command + ["--min-zero-count", "7"])
+        assert _config_from_args(args).min_zero_count == 7
+
+    def test_min_zero_count_of_zero_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 24, 96)
+        code = main(["detect", "--input", str(path), "--min-zero-count", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ValueError: min_zero_count must be an integer >= 1, got 0\n"
+        )
+
+    @pytest.mark.parametrize("command", [["detect", "--input", "x.csv"], ["eval", "m.jsonl"]])
+    def test_fractional_min_zero_count_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--min-zero-count", "2.5"])
+        assert exit_info.value.code == 2
+        assert "--min-zero-count: invalid int value: '2.5'" in capsys.readouterr().err
 
     def test_white_noise_reports_null(self, tmp_path, capsys):
         path = tmp_path / "noise.csv"

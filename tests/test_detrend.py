@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from seasonlen.autocorr import _detrend_acf_in_place
 from seasonlen.core import TimeSeries, validate_series
 from seasonlen.detrend import (
     _BLOCK,
     _centered_index,
+    _detrend_in_place,
     _index_blocks,
+    _shared_index,
     design_matrix,
     fit_polynomial,
     remove_trend,
@@ -69,6 +72,23 @@ def test_index_blocks_are_the_centred_index_bit_for_bit(n):
     blocks = [(start, t.copy()) for start, t in _index_blocks(n)]
     assert [start for start, _ in blocks] == list(range(0, n, _BLOCK))
     assert np.concatenate([t for _, t in blocks]).tobytes() == _centered_index(n).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 2_000, _BLOCK])
+@pytest.mark.parametrize("k_trend", [-np.inf, np.inf])
+def test_a_prebuilt_index_gives_the_same_residuals_bit_for_bit(n, k_trend):
+    # Detection builds t once for a series of one block and passes it to
+    # both trend passes and both passes of the line fit over the lags.
+    x = 1e3 + np.random.default_rng(n).normal(0, 1, n) + np.arange(n) ** 2 / n
+    blocks, whole = x.copy(), x.copy()
+    index = _shared_index(n)
+    assert index.tobytes() == _centered_index(n).tobytes()
+    assert _shared_index(_BLOCK + 1) is None
+    assert _detrend_in_place(blocks, k_trend) == _detrend_in_place(whole, k_trend, index)
+    assert blocks.tobytes() == whole.tobytes()
+    _detrend_acf_in_place(blocks)
+    _detrend_acf_in_place(whole, index)
+    assert blocks.tobytes() == whole.tobytes()
 
 
 class TestFitPolynomial:
