@@ -33,7 +33,7 @@ import numpy as np
 import scipy.fft
 
 from seasonlen.core import TimeSeries, ZeroVarianceError, _nonfinite_error
-from seasonlen.detrend import _fit, _subtract_trend_in_place
+from seasonlen.detrend import _remove_polynomial
 
 __all__ = ["autocorrelation", "detrend_acf"]
 
@@ -236,10 +236,5 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
 def detrend_acf(acf: TimeSeries) -> TimeSeries:
     """Subtract the least-squares line fitted over all lags."""
     values = acf.values.copy()
-    _detrend_acf_in_place(values)
+    _remove_polynomial(values, 1)
     return TimeSeries(values, acf.delta)
-
-
-def _detrend_acf_in_place(acf: np.ndarray, index=None) -> None:
-    """detrend_acf on a plain array, overwriting it; index as for detrend's passes."""
-    _subtract_trend_in_place(acf, _fit(acf, 1, index), index)

@@ -170,16 +170,18 @@ def design_butterworth_lowpass(order: int, cutoff: float) -> FilterSpec:
 
     Raises:
         ValueError: order not a positive integer, cutoff not inside
-            (0, pi), or a cutoff so low that poles round onto z = 1 or
-            the DC gain is off 1 by more than 1e-6.
+            (0, pi), so near pi the design overflows, or so low that the
+            poles round onto z = 1 or the DC gain is off 1 by over 1e-6.
     """
     if order < 1 or order != int(order):
         raise ValueError(f"order must be a positive integer, got {order}")
     if not 0.0 < cutoff < math.pi:
         raise ValueError(f"cutoff must lie in (0, pi), got {cutoff}")
-    sos = signal.butter(int(order), cutoff / math.pi, output="sos")
     try:
+        sos = signal.butter(int(order), cutoff / math.pi, output="sos")
         zi = signal.sosfilt_zi(sos)
+    except OverflowError:
+        raise ValueError(f"order {order} at cutoff {cutoff} overflows the filter design") from None
     except np.linalg.LinAlgError:
         raise ValueError(
             f"order {order} at cutoff {cutoff} has no steady state: its poles round onto z = 1"
@@ -226,8 +228,9 @@ class DetectionConfig:
 
     def __post_init__(self) -> None:
         for name in ("interp_factor", "filter_order", "min_zero_count"):
-            value = getattr(self, name)  # a bool is not a count
-            if isinstance(value, (bool, np.bool_)) or not float(value).is_integer() or value < 1:
+            value = getattr(self, name)  # a bool is not a count; float() of a huge int overflows
+            whole = isinstance(value, (int, np.integer)) or float(value).is_integer()
+            if isinstance(value, (bool, np.bool_)) or not whole or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
         try:
             design_butterworth_lowpass(self.filter_order, self.filter_cutoff)

@@ -11,20 +11,21 @@ over the series divided by a closed-form power sum of t:
 The quadratic term's share of the squared error is exactly
 c2**2 * sum(q**2), which is all degree selection needs. The reductions
 are numpy.einsum sums of products, which make no BLAS call and start no
-threads. Every pass runs block by block: t is built one cache-sized
-block at a time from one arange, the sums accumulate per block (the
-quadratic one over a block of x centred in a work array), and the trend
-is subtracted in place with Horner's rule in another work array. No
-array of the series' length is allocated past one block; detection
-builds t once for a series of one block and shares it among its
-passes. Detection selects the degree and removes the trend in one call
-that computes the mean, sum(t*x) and sum(q*x) once; the exported
-functions copy their input and run the same code. Coefficients are reported in the basis of design_matrix, which
-defines them but is never built on this path.
+threads. Every pass runs block by block: the sums accumulate per block
+(the quadratic one over x centred in a work array), and the trend is
+subtracted in place with Horner's rule in another work array. A longer
+series builds t one block at a time from one arange; for a series of
+one block, t is memoised (the last length only, at most 128 KiB), so a
+detection's four passes build it once. _detrend_in_place selects the
+degree and removes its trend from one mean, sum(t*x) and sum(q*x);
+_remove_polynomial runs every other fit in place. fit_polynomial and
+remove_trend copy their input first. Coefficients are reported in the
+basis of design_matrix, which defines them but is never built here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +37,6 @@ __all__ = [
     "TrendModel",
     "design_matrix",
     "fit_polynomial",
-    "polynomial_residual",
     "select_trend_degree",
     "remove_trend",
 ]
@@ -92,18 +92,26 @@ def _q_squared_sum(n: int) -> float:
     return (n * n - 1) * (n * n - 4) / (180.0 * n**3)
 
 
-def _index_blocks(n: int, index: np.ndarray | None = None):
+@functools.lru_cache(maxsize=1)
+def _one_block_index(n: int) -> np.ndarray:
+    """_centered_index(n), read-only, for every pass over a series of one block."""
+    t = _centered_index(n)
+    t.flags.writeable = False
+    return t
+
+
+def _index_blocks(n: int):
     """The centred index t of n samples, one block of at most _BLOCK at a time.
 
-    Yields (start, t[start:start + _BLOCK]) in one reused work array,
-    shifted and scaled from _RAMP; i - (n+1)/2 is exact, so every value
-    equals _centered_index(n)'s. A caller that holds the whole of t, as
-    index, gets it back as the one block instead.
+    Yields (start, t[start:start + _BLOCK]). A series of one block gets
+    the memoised whole of t; a longer one gets each block in one reused
+    work array, shifted and scaled from _RAMP. i - (n+1)/2 is exact, so
+    either way every value equals _centered_index(n)'s.
     """
-    if index is not None:
-        yield 0, index
+    if n <= _BLOCK:
+        yield 0, _one_block_index(n)
         return
-    work = np.empty(min(_BLOCK, n))
+    work = np.empty(_BLOCK)
     offset = (n + 1) / 2.0
     for start in range(0, n, _BLOCK):
         t = work[: min(_BLOCK, n - start)]
@@ -112,12 +120,7 @@ def _index_blocks(n: int, index: np.ndarray | None = None):
         yield start, t
 
 
-def _shared_index(n: int) -> np.ndarray | None:
-    """The whole of t, for the passes over a series of one block to share; None past that."""
-    return _centered_index(n) if n <= _BLOCK else None
-
-
-def _inner_products(x: np.ndarray, mean: float, degree: int, index=None) -> tuple[float, float]:
+def _inner_products(x: np.ndarray, mean: float, degree: int) -> tuple[float, float]:
     """sum(t*x) and, for degree 2, sum(q*x) = sum(t**2 * (x - mean(x))); else 0.
 
     Both are summed block by block. Each block of x is centred in a
@@ -126,7 +129,7 @@ def _inner_products(x: np.ndarray, mean: float, degree: int, index=None) -> tupl
     """
     linear = quadratic = 0.0
     centred = np.empty(min(_BLOCK, x.size)) if degree == 2 else None
-    for start, t in _index_blocks(x.size, index):
+    for start, t in _index_blocks(x.size):
         block = x[start:start + t.size]
         linear += float(np.einsum("i,i->", t, block))
         if degree == 2:
@@ -149,10 +152,7 @@ def design_matrix(n: int, degree: int) -> np.ndarray:
     """
     _check_degree(n, degree)
     t = _centered_index(n)
-    columns = [np.ones(n), t]
-    if degree == 2:
-        columns.append(t * t)
-    return np.column_stack(columns)
+    return np.column_stack([t**j for j in range(degree + 1)])
 
 
 def _degree(inner: float, n: int, k_trend: float) -> int:
@@ -175,13 +175,7 @@ def _coefficients(
     return mean - c2 * _t_squared_sum(n) / n, c1, c2
 
 
-def _fit(x: np.ndarray, degree: int, index=None) -> tuple[float, ...]:
-    """design_matrix coefficients of the least-squares fit of that degree to x."""
-    mean = float(x.mean())
-    return _coefficients(x.size, degree, mean, *_inner_products(x, mean, degree, index))
-
-
-def _subtract_trend_in_place(x: np.ndarray, coefficients, index=None) -> None:
+def _subtract_trend_in_place(x: np.ndarray, coefficients) -> None:
     """x -= the polynomial with design_matrix coefficients, one block at a time.
 
     Each block's trend is evaluated by Horner's rule at that block of t
@@ -189,7 +183,7 @@ def _subtract_trend_in_place(x: np.ndarray, coefficients, index=None) -> None:
     every value is rounded exactly as a whole-array evaluation rounds it.
     """
     work = np.empty(min(_BLOCK, x.size), dtype=np.float64)
-    for start, t in _index_blocks(x.size, index):
+    for start, t in _index_blocks(x.size):
         trend = work[: t.size]
         np.multiply(t, coefficients[-1], out=trend)
         trend += coefficients[-2]
@@ -199,34 +193,28 @@ def _subtract_trend_in_place(x: np.ndarray, coefficients, index=None) -> None:
         x[start:start + t.size] -= trend
 
 
-def _detrend_in_place(x: np.ndarray, k_trend: float, index=None) -> int:
-    """select_trend_degree, then that degree's residual written over x.
+def _detrend_in_place(x: np.ndarray, k_trend: float) -> int:
+    """select_trend_degree, then that degree's residual written over x; returns the degree.
 
-    Selection and fit share one mean, one sum(t*x) and one sum(q*x). Both
-    passes read t from index when the caller holds it. Returns the degree.
+    Selection and fit share one mean, one sum(t*x) and one sum(q*x).
     """
     mean = float(x.mean())
-    linear, quadratic = _inner_products(x, mean, 2, index)
+    linear, quadratic = _inner_products(x, mean, 2)
     degree = _degree(quadratic, x.size, k_trend)
-    _subtract_trend_in_place(x, _coefficients(x.size, degree, mean, linear, quadratic), index)
+    _subtract_trend_in_place(x, _coefficients(x.size, degree, mean, linear, quadratic))
     return degree
 
 
-def polynomial_residual(values: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares polynomial fit of a plain array, by orthogonal projection.
+def _remove_polynomial(x: np.ndarray, degree: int) -> tuple[float, ...]:
+    """Subtract the least-squares polynomial of that degree from x, in place.
 
-    Returns the coefficients in the design_matrix basis and the residual
-    values minus fitted trend, a new array.
-
-    Raises:
-        ValueError: degree not in {1, 2}, or fewer samples than
-            coefficients.
+    Returns its design_matrix coefficients; raises as fit_polynomial does.
     """
-    _check_degree(values.size, degree)
-    coefficients = _fit(values, degree)
-    residual = np.array(values, dtype=np.float64)
-    _subtract_trend_in_place(residual, coefficients)
-    return np.array(coefficients), residual
+    _check_degree(x.size, degree)
+    mean = float(x.mean())
+    coefficients = _coefficients(x.size, degree, mean, *_inner_products(x, mean, degree))
+    _subtract_trend_in_place(x, coefficients)
+    return coefficients
 
 
 def fit_polynomial(series: TimeSeries, degree: int) -> TrendModel:
@@ -236,7 +224,8 @@ def fit_polynomial(series: TimeSeries, degree: int) -> TrendModel:
         ValueError: degree not in {1, 2}, or fewer samples than
             coefficients.
     """
-    coefficients, residual = polynomial_residual(series.values, degree)
+    residual = series.values.copy()
+    coefficients = np.array(_remove_polynomial(residual, degree))
     cost = float(np.einsum("i,i->", residual, residual)) / residual.size
     return TrendModel(degree=degree, coefficients=coefficients, cost=cost)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from seasonlen.autocorr import _autocorrelation_in_place, _detrend_acf_in_place
+from seasonlen.autocorr import _autocorrelation_in_place
 from seasonlen.core import (
     DetectionConfig,
     DetectionDiagnostics,
@@ -26,7 +26,7 @@ from seasonlen.core import (
     ZeroVarianceError,
     _nonfinite_error,
 )
-from seasonlen.detrend import _detrend_in_place, _shared_index, polynomial_residual
+from seasonlen.detrend import _detrend_in_place, _remove_polynomial
 from seasonlen.preprocess import _smooth, design_butterworth_lowpass
 from seasonlen.zerocross import _find_zeros, estimate_from_zeros
 
@@ -90,14 +90,13 @@ def detect_season_length(
     if spread == 0.0:
         return _result(1)
 
-    index = _shared_index(values.size)
-    degree = _detrend_in_place(values, config.trend_log_threshold, index)
+    degree = _detrend_in_place(values, config.trend_log_threshold)
 
     try:
         _autocorrelation_in_place(values)
     except ZeroVarianceError:
         return _result(degree)
-    _detrend_acf_in_place(values, index)
+    _remove_polynomial(values, 1)
 
     zeros = _find_zeros(values, config.zero_tolerance_rel)
     if zeros.size < config.min_zero_count:
@@ -157,13 +156,13 @@ def baseline_periodogram(series: TimeSeries) -> float | None:
     exists to give the evaluation harness a second column, not to be a
     competitive detector.
     """
-    x = series.values
+    x = series.values.copy()
     if x.size < 16:
         raise TooShortError(f"baseline needs at least 16 observations, got {x.size}")
     if np.ptp(x) == 0.0:
         return None
-    _, residual = polynomial_residual(x, 1)
-    power = np.abs(np.fft.rfft(residual)) ** 2
+    _remove_polynomial(x, 1)
+    power = np.abs(np.fft.rfft(x)) ** 2
     peak = int(np.argmax(power))
     if peak == 0:
         return None

@@ -280,6 +280,32 @@ class TestDetectCommand:
             " steady state: its poles round onto z = 1\n"
         )
 
+    def test_near_pi_cutoff_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 24, 96)
+        code = main(["detect", "--input", str(path), "--order", "20",
+                     "--cutoff", "3.1415926535897927"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ValueError: filter_order, filter_cutoff: order 20 at cutoff"
+            " 3.1415926535897927 overflows the filter design\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flag, code, message",
+        [
+            ("--interp-factor", 2, "error: ValueError: interp_factor 1000"),
+            ("--order", 2, "error: ValueError: filter_order, filter_cutoff: Maximum allowed size"),
+            ("--min-zero-count", 0, ""),
+        ],
+    )
+    def test_counts_past_float_range_never_exit_1(self, tmp_path, capsys, flag, code, message):
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 24, 96)
+        assert main(["detect", "--input", str(path), flag, str(10**400)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) if message else err == ""
+
     @pytest.mark.parametrize("command", [["detect", "--input", "x.csv"], ["eval", "m.jsonl"]])
     def test_min_zero_count_reaches_the_config(self, command):
         args = build_parser().parse_args(command + ["--min-zero-count", "7"])

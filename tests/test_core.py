@@ -1,11 +1,14 @@
-"""Validation, configuration defaults, and error taxonomy."""
+"""Validation, configuration defaults, error taxonomy, and exports."""
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import seasonlen
 from seasonlen.core import (
     DetectionConfig,
     DetectionError,
@@ -119,11 +122,21 @@ class TestDetectionConfig:
             {"interp_factor": True},
             {"min_zero_count": True},
             {"min_zero_count": 2.5},
+            # Cutoffs so near pi that the design overflows at these orders.
+            {"filter_order": 20, "filter_cutoff": 3.1415926535897927},
+            {"filter_order": 40, "filter_cutoff": math.pi * (1 - 1e-9)},
+            # scipy refuses an order this large before it allocates anything.
+            {"filter_order": 10**400},
         ],
     )
     def test_invariant_violations(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             DetectionConfig(**kwargs)
+
+    def test_counts_past_float_range_are_judged_as_integers(self):
+        # float(10**400) overflows; an int needs no conversion to be whole.
+        assert DetectionConfig(min_zero_count=10**400).min_zero_count == 10**400
+        assert DetectionConfig(interp_factor=10**400).interp_factor == 10**400
 
 
 class TestDetectionResult:
@@ -140,3 +153,14 @@ class TestDetectionResult:
         # A two-point series is a legal value object; only detection
         # itself requires four observations.
         assert len(TimeSeries(np.array([0.0, 3.0]))) == 2
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["seasonlen"] + [f"seasonlen.{info.name}" for info in pkgutil.iter_modules(seasonlen.__path__)],
+)
+def test_every_exported_name_resolves(module):
+    # A name left in __all__ after its definition is gone breaks
+    # `from module import *` and misleads readers of the API.
+    namespace = importlib.import_module(module)
+    assert [name for name in namespace.__all__ if not hasattr(namespace, name)] == []

@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seasonlen.autocorr import _detrend_acf_in_place
 from seasonlen.core import TimeSeries, validate_series
 from seasonlen.detrend import (
     _BLOCK,
     _centered_index,
     _detrend_in_place,
     _index_blocks,
-    _shared_index,
+    _one_block_index,
+    _remove_polynomial,
     design_matrix,
     fit_polynomial,
     remove_trend,
     select_trend_degree,
 )
+from seasonlen.pipeline import detect_season_length
 
 E_SQUARED = np.e**2
 
@@ -68,7 +69,9 @@ class TestDesignMatrix:
 
 @pytest.mark.parametrize("n", [3, _BLOCK, _BLOCK + 1, 3 * _BLOCK - 1])
 def test_index_blocks_are_the_centred_index_bit_for_bit(n):
-    # The trend sums and the subtraction build t one block at a time.
+    # A series of one block reads the memoised, read-only t; a longer one
+    # gets t one block at a time in a reused work array.
+    assert all(t.flags.writeable == (n > _BLOCK) for _, t in _index_blocks(n))
     blocks = [(start, t.copy()) for start, t in _index_blocks(n)]
     assert [start for start, _ in blocks] == list(range(0, n, _BLOCK))
     assert np.concatenate([t for _, t in blocks]).tobytes() == _centered_index(n).tobytes()
@@ -77,18 +80,40 @@ def test_index_blocks_are_the_centred_index_bit_for_bit(n):
 @pytest.mark.parametrize("n", [3, 2_000, _BLOCK])
 @pytest.mark.parametrize("k_trend", [-np.inf, np.inf])
 def test_a_prebuilt_index_gives_the_same_residuals_bit_for_bit(n, k_trend):
-    # Detection builds t once for a series of one block and passes it to
-    # both trend passes and both passes of the line fit over the lags.
+    # The memoised t serves both the pass that selects the degree and the
+    # fixed-degree kernel; both equal a whole-array evaluation on a fresh t.
     x = 1e3 + np.random.default_rng(n).normal(0, 1, n) + np.arange(n) ** 2 / n
-    blocks, whole = x.copy(), x.copy()
-    index = _shared_index(n)
-    assert index.tobytes() == _centered_index(n).tobytes()
-    assert _shared_index(_BLOCK + 1) is None
-    assert _detrend_in_place(blocks, k_trend) == _detrend_in_place(whole, k_trend, index)
-    assert blocks.tobytes() == whole.tobytes()
-    _detrend_acf_in_place(blocks)
-    _detrend_acf_in_place(whole, index)
-    assert blocks.tobytes() == whole.tobytes()
+    selected, fixed = x.copy(), x.copy()
+    _one_block_index.cache_clear()
+    degree = _detrend_in_place(selected, k_trend)
+    assert degree == (2 if k_trend < 0 else 1)
+    c = _remove_polynomial(fixed, degree)
+    assert _one_block_index.cache_info().misses == 1
+    t = _centered_index(n)
+    trend = c[-1] * t + c[-2] if degree == 1 else (c[-1] * t + c[-2]) * t + c[0]
+    assert selected.tobytes() == fixed.tobytes() == (x - trend).tobytes()
+
+
+def test_a_detection_of_one_block_builds_the_index_once():
+    # 2,000 raw samples upsample to 7,997: both trend passes and both
+    # passes of the line fit over the autocorrelation share one t.
+    i = np.arange(2_000)
+    series = validate_series(np.sin(2 * np.pi * i / 250) + i / 1_000)
+    _one_block_index.cache_clear()
+    assert detect_season_length(series).is_seasonal
+    info = _one_block_index.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    list(_index_blocks(3))  # the memo holds the last length only
+    assert _one_block_index.cache_info().currsize == 1
+
+
+def test_longer_series_and_the_design_matrix_leave_the_memo_untouched():
+    list(_index_blocks(100))
+    before = _one_block_index.cache_info()
+    list(_index_blocks(_BLOCK + 1))
+    design_matrix(_BLOCK, 2)
+    design_matrix(50, 1)
+    assert _one_block_index.cache_info() == before
 
 
 class TestFitPolynomial:

@@ -5,12 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from seasonlen.autocorr import _autocorrelation_in_place, autocorrelation, detrend_acf
 from seasonlen.core import (
     DetectionConfig,
     DetectionDiagnostics,
+    DetectionError,
     DetectionResult,
     NonFiniteError,
     TimeSeries,
@@ -393,6 +394,70 @@ class TestDetectSeasonLength:
         result = detect_season_length(series, admitting_config(period))
         assert result.is_seasonal
         assert abs(result.unscaled_length - oracle) / oracle <= 0.2
+
+
+class TestDetectionProperties:
+    @given(
+        # Upsampled by 4, up to 4,096 raw samples fit one trend block and
+        # read the memoised time index; longer series stream it in blocks.
+        n=st.one_of(st.integers(min_value=4, max_value=4_096),
+                    st.integers(min_value=4_097, max_value=6_000)),
+        period=st.floats(min_value=4.0, max_value=2_000.0),
+        slope=st.floats(min_value=-100.0, max_value=100.0),
+        curve=st.floats(min_value=-100.0, max_value=100.0),
+        noise=st.floats(min_value=0.0, max_value=2.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        threshold=st.floats(min_value=-50.0, max_value=100.0),
+        k=st.integers(min_value=-30, max_value=30),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_a_binary_scale_only_shifts_the_trend_threshold(
+        self, n, period, slope, curve, noise, seed, threshold, k
+    ):
+        # Far from subnormals and overflow, scaling by c = 2**k is exact:
+        # every stage's values scale by c until the autocorrelation's
+        # normalisation takes it out, and the trend rule's squared-error
+        # gap scales by c**2 = 4**k. So the degree is non-decreasing in |c|
+        # at a fixed threshold, and shifting the threshold by k * ln 4
+        # gives back the same result (unless the log gap lies within
+        # rounding, about 1e-14, of the threshold).
+        t = np.linspace(0.0, 1.0, n)
+        x = (np.sin(2 * np.pi * np.arange(n) / period) + slope * t + curve * t**2
+             + np.random.default_rng(seed).normal(0.0, noise, n))
+        plain = detect_season_length(
+            validate_series(x), DetectionConfig(trend_log_threshold=threshold)
+        )
+        scaled = detect_season_length(
+            validate_series(x * 2.0**k),
+            DetectionConfig(trend_log_threshold=threshold + k * math.log(4.0)),
+        )
+        assert scaled == plain
+
+    @given(
+        values=st.lists(st.floats(min_value=-1e150, max_value=1e150), min_size=4, max_size=200),
+        interp_factor=st.integers(min_value=1, max_value=16),
+        filter_order=st.integers(min_value=1, max_value=40),
+        filter_cutoff=st.floats(min_value=0.0, max_value=math.pi, exclude_min=True,
+                                exclude_max=True),
+        trend_log_threshold=st.floats(allow_nan=False),
+        zero_tolerance_rel=st.floats(min_value=0.0, max_value=0.5, exclude_max=True),
+        quotient_threshold=st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                                     exclude_max=True),
+        min_zero_count=st.integers(min_value=1, max_value=50),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_config_that_builds_detects_or_raises_a_detection_error(self, values, **fields):
+        # A config is rejected when it is built or it works: on finite
+        # input, detection returns a result or names bad data.
+        try:
+            config = DetectionConfig(**fields)
+        except ValueError:
+            assume(False)
+        try:
+            result = detect_season_length(validate_series(values), config)
+        except DetectionError:
+            return
+        assert isinstance(result, DetectionResult)
 
 
 class TestExactSeasonOracle:
