@@ -4,7 +4,7 @@ The autocorrelation is the mean-removed, biased estimator normalized by
 its lag-0 value, so values lie in [-1, 1] and taper toward high lags.
 It is computed through a zero-padded real FFT in O(n log n) and agrees
 with the direct lagged-product sum to within accumulation error. From a
-transform length of 2**18 the FFT is factored as n1 x n2 (the four-step
+transform length of 2**17 the FFT is factored as n1 x n2 (the four-step
 FFT): batches of short transforms over the columns and rows of the
 series, each batch small enough to stay in cache, in place of one
 transform that streams the whole zero-padded array through memory in
@@ -59,11 +59,11 @@ def autocorrelation(series: TimeSeries) -> TimeSeries:
     return TimeSeries(values, series.delta)
 
 
-#: Transform length from which the ACF runs as a four-step FFT. Below it
-#: the monolithic transform's arrays fit in L2, and the split gained at
-#: most 15% there, or lost, depending on the run; from 2**18 it was
-#: faster in every run, 1.1 to 1.9 times (BENCH_9.json).
-_SPLIT_NFFT = 1 << 18
+#: Transform length from which the ACF runs as a four-step FFT: its median
+#: time over the monolithic one's (two sets of 9 interleaved runs, 2 vCPUs)
+#: read 0.72-0.83 at 2**17 and 0.48-0.78 up to 262,440. It won from 80,190
+#: too (0.64-0.82), but the longest suite case (nfft 104,544) stays monolithic.
+_SPLIT_NFFT = 1 << 17
 
 #: Columns per block of the four-step column passes: at 4e6 points
 #: (n1 = 2880) a block takes 2.9 MB; 64 to 256 timed the same there.
@@ -84,21 +84,6 @@ def _factor(n: int) -> tuple[int, int]:
         return nfft, 1
     n2 = scipy.fft.next_fast_len(math.isqrt(2 * n))
     return scipy.fft.next_fast_len(-(-2 * n // n2), real=True), n2
-
-
-def _twiddles(k1: np.ndarray, n2: int, size: int) -> np.ndarray:
-    """exp(-2j pi k1 b / size) for b < n2, as one row per k1.
-
-    b is split as b = q * width + r, so the row is the outer product of
-    two short exp tables, one over q and one over r. k1 * b < size, so
-    the angle needs no reduction.
-    """
-    width = math.isqrt(n2)
-    step = -2j * np.pi / size
-    k1 = k1[:, None, None]
-    coarse = np.exp(step * (k1 * np.arange(0, n2, width)[:, None]))
-    fine = np.exp(step * (k1 * np.arange(width)))
-    return (coarse * fine).reshape(k1.shape[0], -1)[:, :n2]
 
 
 def _grid(x: np.ndarray, n2: int) -> tuple[np.ndarray, int, np.ndarray]:
@@ -212,8 +197,13 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
         return
     tail, imag = _column_spectra(x, mean, scale, n1, n2)
     grid, rows, _ = _grid(x, n2)
-    step, half = max(1, _SPLIT_BLOCK // n2), n2 // 2 + 1
+    step, half, width = max(1, _SPLIT_BLOCK // n2), n2 // 2 + 1, math.isqrt(n2)
+    # The twiddle exp(-2j pi k1 b / (n1 n2)) of b = q * width + r is coarse[k1, q] * fine[k1, r].
+    k1, angle = np.arange(imag.shape[0])[:, None, None], -2j * np.pi / (n1 * n2)
+    coarse = np.exp(angle * (k1 * np.arange(0, n2, width)[:, None]))
+    fine = np.exp(angle * (k1 * np.arange(width)))
     buffer = np.empty((step, n2), dtype=np.complex128)
+    twiddles = np.empty((step, coarse.shape[1], width), dtype=np.complex128)
     squares = np.empty((step, n2))
     for start in range(0, imag.shape[0], step):
         block = buffer[:min(step, imag.shape[0] - start)]
@@ -221,7 +211,8 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
         real = grid[start:stop], tail[max(start - rows, 0):max(stop - rows, 0)]
         np.concatenate(real, out=block.real)
         block.imag = imag[start:stop]
-        twiddle = _twiddles(np.arange(start, stop), n2, n1 * n2)
+        twiddle = np.multiply(coarse[start:stop], fine[start:stop], out=twiddles[:stop - start])
+        twiddle = twiddle.reshape(stop - start, -1)[:, :n2]
         block *= twiddle
         transformed = scipy.fft.fft(block, axis=1, overwrite_x=True)
         power = np.square(transformed.real, out=squares[:block.shape[0]])

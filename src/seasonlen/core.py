@@ -44,6 +44,9 @@ __all__ = [
 #: Shortest series on which detection may be attempted.
 MIN_DETECTION_LENGTH = 4
 
+#: Most float64 values one numpy array can index.
+_MAX_VALUES = np.iinfo(np.intp).max // 8
+
 
 class DetectionError(Exception):
     """Base class of the errors that mark bad input data."""
@@ -232,6 +235,10 @@ class DetectionConfig:
             whole = isinstance(value, (int, np.integer)) or float(value).is_integer()
             if isinstance(value, (bool, np.bool_)) or not whole or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
+        if (MIN_DETECTION_LENGTH - 1) * int(self.interp_factor) + 1 > _MAX_VALUES:
+            raise ValueError(
+                f"interp_factor upsamples {MIN_DETECTION_LENGTH} values past what numpy can index"
+            )
         try:
             design_butterworth_lowpass(self.filter_order, self.filter_cutoff)
         except ValueError as exc:

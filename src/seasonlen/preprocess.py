@@ -20,6 +20,7 @@ import numpy as np
 from scipy import signal
 
 from seasonlen.core import FilterSpec, TimeSeries, TooShortError, design_butterworth_lowpass
+from seasonlen.core import _MAX_VALUES
 
 __all__ = [
     "FilterSpec",
@@ -80,7 +81,7 @@ def _smooth(x: np.ndarray, factor: int, spec: FilterSpec | None = None) -> np.nd
     """
     factor, n = int(factor), x.size
     length = factor * (n - 1) + 1
-    if length > np.iinfo(np.intp).max // x.itemsize:
+    if length > _MAX_VALUES:
         raise ValueError(
             f"interp_factor {factor} upsamples {n} values to {length}, more than numpy can index"
         )

@@ -1,5 +1,7 @@
 """Normalized autocorrelation and its secondary detrending."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -11,7 +13,6 @@ from seasonlen.autocorr import (
     _SPLIT_NFFT,
     _factor,
     _grid,
-    _twiddles,
     autocorrelation,
     detrend_acf,
 )
@@ -124,6 +125,25 @@ def noisy_sine(n, seed):
     return 5.0 + np.sin(2 * np.pi * np.arange(n) / 997.0) + rng.normal(0, 1, n)
 
 
+def twiddle_tables(n1, n2):
+    """The row pass's tables: coarse[k1, q] * fine[k1, r] is its twiddle at b = q * width + r.
+
+    Built as the module builds them inline, with the same shapes (k1 on
+    the first axis, q then r on the next two), so their products are the
+    module's twiddles bit for bit.
+    """
+    width = math.isqrt(n2)
+    k1, angle = np.arange(n1 // 2 + 1)[:, None, None], -2j * np.pi / (n1 * n2)
+    coarse = np.exp(angle * (k1 * np.arange(0, n2, width)[:, None]))
+    return coarse, np.exp(angle * (k1 * np.arange(width)))
+
+
+def twiddle_rows(tables, start, stop, n2):
+    """The twiddles of rows start:stop, exp(-2j pi k1 b / (n1 n2)) for b < n2."""
+    coarse, fine = tables
+    return (coarse[start:stop] * fine[start:stop]).reshape(stop - start, -1)[:, :n2]
+
+
 def complex_spectrum_acf(values):
     """The four-step ACF with plain storage and an explicit mirror loop.
 
@@ -154,9 +174,10 @@ def complex_spectrum_acf(values):
     half = n2 // 2 + 1
     inverse = np.empty((n1 // 2 + 1, half), dtype=np.complex128)
     step = max(1, _SPLIT_BLOCK // n2)
+    tables = twiddle_tables(n1, n2)
     for start in range(0, spectrum.shape[0], step):
         block = spectrum[start:start + step]
-        twiddle = _twiddles(np.arange(start, start + block.shape[0]), n2, n1 * n2)
+        twiddle = twiddle_rows(tables, start, start + block.shape[0], n2)
         transformed = scipy.fft.fft(block * twiddle, axis=1)
         power = transformed.real**2 + transformed.imag**2
         inverse[start:start + block.shape[0]] = (
@@ -182,9 +203,9 @@ class TestSplitTransform:
     """Series long enough for the four-step transform (n2 > 1 columns)."""
 
     @given(n=st.integers(min_value=SPLIT_N, max_value=3 * SPLIT_N), seed=st.integers(0, 2**32 - 1))
-    @example(n=SPLIT_N, seed=0)  # 512 x 256: no partial last row
+    @example(n=131_072, seed=0)  # 512 x 512: no partial last row
     @example(n=131_101, seed=1)  # prime: 29 values in the last row
-    @example(n=262_139, seed=2)  # prime, twice the threshold
+    @example(n=262_139, seed=2)  # prime, four times the threshold
     # The partial last row spans more than one column block, and the last
     # block is narrower than the rest: 784 columns, 512 in the last row.
     @example(n=300_000, seed=3)
@@ -197,30 +218,42 @@ class TestSplitTransform:
         ours = autocorrelation(validate_series(x)).values
         assert np.abs(ours - monolithic_acf(x)).max() < 1e-13
 
-    @pytest.mark.parametrize("n", [51_997, 130_977])
+    @pytest.mark.parametrize("n", [51_997, 65_488])
     def test_below_the_threshold_is_the_monolithic_transform_bit_for_bit(self, n):
-        # 51,997 is the longest upsampled suite case; 130,977 is the longest
+        # 51,997 is the longest upsampled suite case; 65,488 is the longest
         # series whose next_fast_len(2n) stays below the threshold.
         assert _factor(n)[1] == 1
         x = noisy_sine(n, 4)
         assert np.array_equal(autocorrelation(validate_series(x)).values, monolithic_acf(x))
 
-    # 130,978 is the shortest split length. The tail past the grid holds
-    # 1 to 15 rows; 131,072 fills its grid and the others leave a partial
-    # last row; from 262,139 on, a row-pass block holds rows of both.
-    # n2 is odd at 144,958 (539), 393,209 (891) and 4,000,000 (2835), and
+    # 65,489 is the shortest split length. The tail past the grid holds
+    # 1 to 27 rows; 131,072 fills its grid and the others leave a partial
+    # last row; from 144,958 on, a row-pass block holds rows of both.
+    # n2 is odd up to 65,537 (363), at 144,958 (539) and 393,209 (891), and
     # even elsewhere, 1440 at 1,000,003. The partial last row reaches the
-    # mirrored columns at 144,958 (506 of 539) and 300,000 (512 of 784).
+    # mirrored columns at 65,536 and 65,537 (196 and 197 of 363), 144,958
+    # (506 of 539) and 300,000 (512 of 784).
     @pytest.mark.parametrize(
         "n",
-        [130_978, SPLIT_N, SPLIT_N + 1, 131_101, 144_958, 262_139, 300_000, 393_209,
-         1_000_003],
+        [65_489, SPLIT_N, SPLIT_N + 1, 131_072, 131_101, 144_958, 262_139, 300_000,
+         393_209, 1_000_003],
     )
     def test_planar_half_spectrum_is_the_complex_one_bit_for_bit(self, n):
         assert _factor(n)[1] > 1
         x = noisy_sine(n, n)
         ours = autocorrelation(validate_series(x)).values
         assert ours.tobytes() == complex_spectrum_acf(x).tobytes()
+
+    def test_twiddle_tables_give_every_twiddle_within_a_few_ulp(self):
+        # n2 = 539 splits as b = 23q + r over 24 coarse steps, 13 past n2.
+        n1, n2 = _factor(144_958)
+        twiddles = twiddle_rows(twiddle_tables(n1, n2), 0, n1 // 2 + 1, n2)
+        # The reference angle is rounded once, in extended precision where
+        # the platform has it.
+        turns = (np.arange(n1 // 2 + 1)[:, None] * np.arange(n2)).astype(np.longdouble)
+        angle = 8 * np.arctan(np.longdouble(1)) * turns / (n1 * n2)
+        error = np.hypot(twiddles.real - np.cos(angle), twiddles.imag + np.sin(angle))
+        assert error.max() <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("n", [144_958, 1_000_003])
     def test_inverse_column_pass_transforms_half_the_columns(self, n, monkeypatch):

@@ -294,7 +294,7 @@ class TestDetectCommand:
     @pytest.mark.parametrize(
         "flag, code, message",
         [
-            ("--interp-factor", 2, "error: ValueError: interp_factor 1000"),
+            ("--interp-factor", 2, "error: ValueError: interp_factor upsamples 4 values past"),
             ("--order", 2, "error: ValueError: filter_order, filter_cutoff: Maximum allowed size"),
             ("--min-zero-count", 0, ""),
         ],
@@ -305,6 +305,7 @@ class TestDetectCommand:
         assert main(["detect", "--input", str(path), flag, str(10**400)]) == code
         err = capsys.readouterr().err
         assert err.startswith(message) if message else err == ""
+        assert err.count("\n") <= 1 and len(err) < 200
 
     @pytest.mark.parametrize("command", [["detect", "--input", "x.csv"], ["eval", "m.jsonl"]])
     def test_min_zero_count_reaches_the_config(self, command):

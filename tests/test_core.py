@@ -127,6 +127,10 @@ class TestDetectionConfig:
             {"filter_order": 40, "filter_cutoff": math.pi * (1 - 1e-9)},
             # scipy refuses an order this large before it allocates anything.
             {"filter_order": 10**400},
+            # Factors that upsample even 4 values past what numpy can index.
+            {"interp_factor": (2**60 - 2) // 3 + 1},
+            {"interp_factor": 2**62},
+            {"interp_factor": 10**400},
         ],
     )
     def test_invariant_violations(self, kwargs):
@@ -136,7 +140,12 @@ class TestDetectionConfig:
     def test_counts_past_float_range_are_judged_as_integers(self):
         # float(10**400) overflows; an int needs no conversion to be whole.
         assert DetectionConfig(min_zero_count=10**400).min_zero_count == 10**400
-        assert DetectionConfig(interp_factor=10**400).interp_factor == 10**400
+
+    def test_largest_interp_factor_that_can_upsample_4_values_builds(self):
+        # 4 values upsample to 3 * factor + 1 = 2**60 - 3, within the 2**60 - 1
+        # float64 values numpy can index; factor + 1 is past them.
+        factor = (2**60 - 2) // 3
+        assert DetectionConfig(interp_factor=factor).interp_factor == factor
 
 
 class TestDetectionResult:

@@ -128,9 +128,10 @@ class TestDetectSeasonLength:
             detect_season_length(TimeSeries(np.array([1.0, 2.0, 3.0])))
 
     def test_unindexable_interp_factor_is_rejected_before_allocating(self):
-        config = DetectionConfig(interp_factor=2**62)
+        # The config builds, since 4 values upsample to 3 * 2**58 + 1; 5 need 2**60 + 1.
+        config = DetectionConfig(interp_factor=2**58)
         with pytest.raises(ValueError, match="interp_factor .* more than numpy can index"):
-            detect_season_length(validate_series([1.0, 2.0, 0.0, 1.0]), config)
+            detect_season_length(validate_series([1.0, 2.0, 0.0, 1.0, 2.0]), config)
 
     def test_whole_float_interp_factor_detects_as_the_integer(self):
         # 4.0 passes validation as a whole number; the upsampled length
