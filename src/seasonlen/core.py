@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 __all__ = [
     "DetectionError",
@@ -143,56 +142,97 @@ def validate_series(raw, delta: float = 1.0) -> TimeSeries:
 
 @dataclass(frozen=True, eq=False)
 class FilterSpec:
-    """A discrete-time recursive low-pass filter.
+    """A discrete-time recursive low-pass filter, as cascaded sections.
+
+    Each section has unit DC gain and zeros at z = -1. A section with a
+    conjugate pole pair is run as one complex first-order mode, a real
+    pole as a real one: with state q_n = p*q_{n-1} + c*u_n, the section
+    maps its input u to d*u_n + Re(q_{n-1}).
 
     Attributes:
         order: filter order.
         cutoff: half-power frequency in rad/sample.
-        sos: second-order sections, one row [b0, b1, b2, 1, a1, a2] each;
-            unlike one high-order polynomial pair, they stay well
-            conditioned at any order and low cutoff.
-        zi: per-section state of the steady-state unit-step response; a
-            pass that starts at sample value v starts from zi * v.
+        sos: second-order sections, one row [b0, b1, b2, 1, a1, a2] each,
+            the public description of the filter; an odd order ends with
+            the first-order row [b0, b1, 0, 1, a1, 0].
+        poles: p of each section, the upper pole of its pair or its real pole.
+        residues: c of each section.
+        direct: d of each section.
+        steady: c / (1 - p), each section's state in the steady-state
+            response to a unit step; a pass that starts at sample value v
+            starts from steady * v.
     """
 
     order: int
     cutoff: float
     sos: np.ndarray
-    zi: np.ndarray
+    poles: np.ndarray
+    residues: np.ndarray
+    direct: np.ndarray
+    steady: np.ndarray
+
+
+def _shown(value) -> str:
+    """value as text, cut short so that a huge number cannot flood a message."""
+    text = str(value)
+    return text if len(text) <= 20 else f"{text[:12]}... ({len(text)} characters)"
 
 
 @functools.lru_cache(maxsize=16)
 def design_butterworth_lowpass(order: int, cutoff: float) -> FilterSpec:
     """Design a Butterworth low-pass with its half-power point at cutoff.
 
-    The analog prototype is mapped to discrete time with the bilinear
-    transform; pre-warping places the half-power point exactly at the
-    requested frequency. The start state zi is solved once, here: the
-    design is memoised, so repeated calls with one (order, cutoff)
-    return the same FilterSpec, whose arrays must not be written.
+    The analog prototype's poles, on a circle of radius tan(cutoff / 2)
+    (the pre-warping that puts the half-power point exactly at cutoff),
+    are mapped to discrete time by the bilinear transform z = (1 + s) /
+    (1 - s); every zero lands on z = -1. Each section's residue, direct
+    term and steady state are worked out from its pole as rounded, so
+    the filter that runs has unit DC gain to rounding. The design is
+    memoised: repeated calls with one (order, cutoff) return the same
+    FilterSpec, whose arrays must not be written.
 
     Raises:
-        ValueError: order not a positive integer, cutoff not inside
-            (0, pi), so near pi the design overflows, or so low that the
-            poles round onto z = 1 or the DC gain is off 1 by over 1e-6.
+        ValueError: order not a positive integer or too large to
+            allocate, cutoff not inside (0, pi), or a design the filter
+            cannot run: a pole that rounds onto the unit circle (cutoffs
+            near 0 or pi), a non-finite constant, or a DC gain off 1 by
+            more than 1e-6.
     """
     if order < 1 or order != int(order):
-        raise ValueError(f"order must be a positive integer, got {order}")
+        raise ValueError(f"order must be a positive integer, got {_shown(order)}")
     if not 0.0 < cutoff < math.pi:
         raise ValueError(f"cutoff must lie in (0, pi), got {cutoff}")
+    n, named = int(order), f"order {_shown(order)} at cutoff {cutoff}"
     try:
-        sos = signal.butter(int(order), cutoff / math.pi, output="sos")
-        zi = signal.sosfilt_zi(sos)
-    except OverflowError:
-        raise ValueError(f"order {order} at cutoff {cutoff} overflows the filter design") from None
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            f"order {order} at cutoff {cutoff} has no steady state: its poles round onto z = 1"
-        ) from None
-    dc = np.prod(sos[:, :3].sum(axis=1) / sos[:, 3:].sum(axis=1))
+        pairs = np.arange(n // 2)
+    except (ValueError, MemoryError):
+        raise ValueError(f"order {_shown(order)} is too large to allocate") from None
+    radius = math.tan(cutoff / 2)
+    with np.errstate(all="ignore"):
+        s = radius * np.exp(1j * np.pi * (2 * pairs + n + 1) / (2 * n))
+        poles = np.append((1 + s) / (1 - s), [(1 - radius) / (1 + radius)] * (n % 2))
+        gap = 1 - poles
+        direct = np.abs(gap) ** 2 / 4
+        residues = direct * (1 + poles) ** 2 / (1j * poles.imag)
+        if n % 2:
+            direct[-1] = gap[-1].real / 2
+            residues[-1] = direct[-1] * (1 + poles[-1])
+        steady = residues / gap
+        dc = np.prod(direct + steady.real)
+    if not np.all(np.abs(poles) < 1):
+        raise ValueError(f"{named} has no steady state: a pole rounds onto the unit circle")
+    if not (np.all(np.isfinite(residues)) and np.all(np.isfinite(steady))):
+        raise ValueError(f"{named} has a non-finite design")
     if not abs(dc - 1.0) <= 1e-6:
-        raise ValueError(f"order {order} at cutoff {cutoff} has DC gain {dc:.6g}, not 1")
-    return FilterSpec(order=int(order), cutoff=float(cutoff), sos=sos, zi=zi)
+        raise ValueError(f"{named} has DC gain {dc:.6g}, not 1")
+    sos = np.zeros((poles.size, 6))
+    sos[:, 0], sos[:, 1], sos[:, 2] = direct, 2 * direct, direct
+    sos[:, 3], sos[:, 4], sos[:, 5] = 1.0, -2 * poles.real, np.abs(poles) ** 2
+    if n % 2:
+        sos[-1, 1:] = direct[-1], 0.0, 1.0, -poles[-1].real, 0.0
+    for array in (sos, poles, residues, direct, steady):
+        array.flags.writeable = False
+    return FilterSpec(n, float(cutoff), sos, poles, residues, direct, steady)
 
 
 @dataclass(frozen=True)
@@ -234,7 +274,7 @@ class DetectionConfig:
             value = getattr(self, name)  # a bool is not a count; float() of a huge int overflows
             whole = isinstance(value, (int, np.integer)) or float(value).is_integer()
             if isinstance(value, (bool, np.bool_)) or not whole or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value}")
+                raise ValueError(f"{name} must be an integer >= 1, got {_shown(value)}")
         if (MIN_DETECTION_LENGTH - 1) * int(self.interp_factor) + 1 > _MAX_VALUES:
             raise ValueError(
                 f"interp_factor upsamples {MIN_DETECTION_LENGTH} values past what numpy can index"

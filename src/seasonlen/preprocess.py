@@ -6,18 +6,28 @@ would drag zeros by a frequency-dependent lag and bias every distance
 measured downstream. Each pass starts from the steady-state response to
 its first sample, which suppresses the start-up transient that zero
 initial conditions would inject at the series edges. The memoised
-design (in core, re-exported here) solves that start state once.
+design (in core, re-exported here) holds that start state per section.
+
+Each section runs as a first-order modal recurrence q_n = p*q_{n-1} +
+c*u_n, which numpy evaluates without a loop per value: within a row of
+values it is a running sum of u_i * p**-i scaled back by p**j, and the
+state each row starts from is carried over from the rows before it.
+Rows are cut short enough that |p|**-row stays within 2**10; the
+scaling is centred on each row, so it costs about 2**5 of float range.
 
 Upsampling and both passes stream through the one output array in
-cache-sized blocks, carrying the filter state between blocks, so only
-a block or two is held beside it and every value is bit for bit that
-of one whole-array pass.
+cache-sized blocks, carrying each section's state between blocks, so
+only a block or two is held beside it, and every value is bit for bit
+that of one call of the scan over the whole array per pass.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from typing import NamedTuple
+
 import numpy as np
-from scipy import signal
 
 from seasonlen.core import FilterSpec, TimeSeries, TooShortError, design_butterworth_lowpass
 from seasonlen.core import _MAX_VALUES
@@ -65,15 +75,102 @@ def apply_filter(series: TimeSeries, spec: FilterSpec) -> TimeSeries:
 #: Upsampled values per block of the streamed passes: 256 KiB, within L2.
 _BLOCK = 1 << 15
 
+#: Longest row of the modal scan, 128 KiB of complex partial sums.
+_ROW = 1 << 13
+
+#: Rows up to this long are summed column by column, faster than cumsum there.
+_COLUMNS = 32
+
+#: Carry factor below which a row's state no longer reaches later rows.
+_NEGLIGIBLE = 2.0**-64
+
+
+class _Mode(NamedTuple):
+    """One section of a FilterSpec, set up for _scan.
+
+    A row of _scan holds `row` values, so few that |p|**-row stays
+    within 2**10 (the whole _ROW for a slower pole). Inside a row,
+    u -> q is the weighted running sum q_j = down_j * cumsum(up * u)_j,
+    with up_i = c * p**(h - i) and down_j = p**(j - h) for the row's
+    middle h, so no term strays further than about 2**5 from q itself.
+    """
+
+    direct: float
+    steady: complex | float
+    row: int
+    up: np.ndarray
+    down: np.ndarray
+    lead: complex | float
+    hop: complex | float
+
+
+@functools.lru_cache(maxsize=16)
+def _modes(spec: FilterSpec) -> tuple[_Mode, ...]:
+    """Each section of spec as a _Mode, memoised beside the design."""
+    modes = []
+    for p, c, d, z in zip(*(a.tolist() for a in (spec.poles, spec.residues, spec.direct,
+                                                   spec.steady))):
+        if p.imag == 0:
+            p, c, z = p.real, c.real, z.real
+        row = 1 if abs(p) < 2**-10 else min(_ROW, math.ceil(10 * math.log(2) / -math.log(abs(p))))
+        half = row // 2
+        down = np.power(p, np.arange(row) - half)
+        modes.append(_Mode(d, z, row, c / down, down, p ** (half + 1), p ** row))
+    return tuple(modes)
+
+
+def _scan(u: np.ndarray, carry, mode: _Mode, work: np.ndarray):
+    """Run one section over u in place, from state carry; return the state after u.
+
+    u is taken _BLOCK values at a time from its start, so a pass cut
+    into calls at multiples of _BLOCK gives every value bit for bit as
+    one call over the whole pass; work is a complex array with room for
+    one chunk and _ROW values more. A chunk's rows are scanned at once;
+    the state each row starts from is its predecessor's carried on by
+    hop = p**row, summed over rows by recursive doubling, which stops
+    once hop**k falls below _NEGLIGIBLE.
+    """
+    row = mode.row
+    for start in range(0, u.size, _BLOCK):
+        chunk = u[start:start + _BLOCK]
+        n = chunk.size
+        full = n - n % row
+        rows = work.view(mode.up.dtype)[:-(-n // row) * row].reshape(-1, row)
+        np.multiply(chunk[:full].reshape(-1, row), mode.up, out=rows[:full // row])
+        if full < n:
+            np.multiply(chunk[full:], mode.up[:n - full], out=rows[-1, :n - full])
+            rows[-1, n - full:] = 0
+        if row > _COLUMNS:
+            np.cumsum(rows, axis=1, out=rows)
+        else:
+            for j in range(1, row):
+                rows[:, j] += rows[:, j - 1]
+        carries = np.empty(rows.shape[0], rows.dtype)
+        carries[0] = carry
+        np.multiply(rows[:-1, -1], mode.down[-1], out=carries[1:])
+        shift, hop = 1, mode.hop
+        while shift < carries.size and abs(hop) > _NEGLIGIBLE:
+            carries[shift:] += hop * carries[:-shift]
+            shift, hop = 2 * shift, hop * hop
+        rows += (mode.lead * carries)[:, None]
+        rows *= mode.down
+        states = rows.reshape(-1)
+        chunk *= mode.direct
+        chunk[1:] += states.real[:n - 1]
+        chunk[0] += carry.real
+        carry = states[n - 1]
+    return carry
+
 
 def _smooth(x: np.ndarray, factor: int, spec: FilterSpec | None = None) -> np.ndarray:
     """x upsampled by factor into a new array, then filtered by spec unless it is None.
 
-    Each block of _BLOCK // factor raw intervals is interpolated, centred
-    on x[0] (whose steady state is then zero) and filtered forward from
-    the state the previous block left, the first from rest. The backward
-    pass walks the blocks from the end, from the steady state of the last
-    forward value, and adds x[0] back. One block makes one call per pass.
+    Each block of _BLOCK // factor raw intervals is interpolated and
+    centred on x[0], whose steady state is then zero. The forward pass
+    follows the upsampling: each section runs, from rest, over every
+    whole _BLOCK of values from the start that is ready. The backward
+    pass walks _BLOCK values at a time from the end, from the steady
+    state of the last forward value, and adds x[0] back.
 
     Raises:
         ValueError: the output would be longer than numpy can index.
@@ -90,12 +187,14 @@ def _smooth(x: np.ndarray, factor: int, spec: FilterSpec | None = None) -> np.nd
             f"filter of order {spec.order} needs more than {6 * spec.order} samples, got {length}"
         )
     out = np.empty(length)
+    if spec is not None:
+        modes = _modes(spec)
+        work = np.empty(min(length, _BLOCK) + _ROW, complex)
+        state, done = [0.0] * len(modes), 0
     per = max(1, _BLOCK // factor)
-    # Raw intervals lo:hi of each block; the last block also holds x[-1].
-    bounds = [(lo, min(lo + per, n - 1)) for lo in range(0, n - 1, per)]
-    blocks = [out[lo * factor:hi * factor + (hi == n - 1)] for lo, hi in bounds]
-    state = None if spec is None else np.zeros_like(spec.zi)
-    for (lo, hi), block in zip(bounds, blocks):
+    for lo in range(0, n - 1, per):
+        hi = min(lo + per, n - 1)  # raw intervals lo:hi; the last block also holds x[-1]
+        block = out[lo * factor:hi * factor + (hi == n - 1)]
         block[::factor] = x[lo:hi + (hi == n - 1)]
         step = x[lo + 1:hi + 1] - x[lo:hi]
         for offset in range(1, factor):
@@ -104,16 +203,21 @@ def _smooth(x: np.ndarray, factor: int, spec: FilterSpec | None = None) -> np.nd
             inserted += x[lo:hi]
         if spec is not None:
             block -= x[0]
-            block[...], state = signal.sosfilt(spec.sos, block, zi=state)
+            ready = length if hi == n - 1 else hi * factor // _BLOCK * _BLOCK
+            for k, mode in enumerate(modes):
+                state[k] = _scan(out[done:ready], state[k], mode, work)
+            done = ready
     if spec is not None:
-        state = spec.zi * out[-1]
-        for block in reversed(blocks):
-            backward, state = signal.sosfilt(spec.sos, block[::-1], zi=state)
-            np.add(backward[::-1], x[0], out=block)
+        state = [mode.steady * out[-1] for mode in modes]
+        for end in range(length, 1, -_BLOCK):  # a lone first value rides with the next chunk
+            chunk = out[end - _BLOCK if end > _BLOCK + 1 else 0:end]
+            for k, mode in enumerate(modes):
+                state[k] = _scan(chunk[::-1], state[k], mode, work)
+            chunk += x[0]
     return out
 
 
 def magnitude_response(spec: FilterSpec, omegas) -> np.ndarray:
     """Evaluate |H| of a single pass at the given frequencies (rad/sample)."""
-    _, response = signal.sosfreqz(spec.sos, worN=np.asarray(omegas, dtype=np.float64))
-    return np.abs(response)
+    w = np.exp(-1j * np.asarray(omegas, dtype=np.float64))[..., None] ** np.arange(3)
+    return np.abs(np.prod((w @ spec.sos[:, :3].T) / (w @ spec.sos[:, 3:].T), axis=-1))

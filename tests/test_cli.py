@@ -273,11 +273,11 @@ class TestDetectCommand:
     def test_undesignable_filter_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sine.csv"
         write_sine_csv(path, 24, 96)
-        code = main(["detect", "--input", str(path), "--cutoff", "1e-8"])
+        code = main(["detect", "--input", str(path), "--cutoff", "1e-16"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: ValueError: filter_order, filter_cutoff: order 2 at cutoff 1e-08 has no"
-            " steady state: its poles round onto z = 1\n"
+            "error: ValueError: filter_order, filter_cutoff: order 2 at cutoff 1e-16 has no"
+            " steady state: a pole rounds onto the unit circle\n"
         )
 
     def test_near_pi_cutoff_exits_2(self, tmp_path, capsys):
@@ -288,14 +288,14 @@ class TestDetectCommand:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: ValueError: filter_order, filter_cutoff: order 20 at cutoff"
-            " 3.1415926535897927 overflows the filter design\n"
+            " 3.1415926535897927 has no steady state: a pole rounds onto the unit circle\n"
         )
 
     @pytest.mark.parametrize(
         "flag, code, message",
         [
             ("--interp-factor", 2, "error: ValueError: interp_factor upsamples 4 values past"),
-            ("--order", 2, "error: ValueError: filter_order, filter_cutoff: Maximum allowed size"),
+            ("--order", 2, "error: ValueError: filter_order, filter_cutoff: order 1000000000"),
             ("--min-zero-count", 0, ""),
         ],
     )
@@ -306,6 +306,20 @@ class TestDetectCommand:
         err = capsys.readouterr().err
         assert err.startswith(message) if message else err == ""
         assert err.count("\n") <= 1 and len(err) < 200
+
+    @pytest.mark.parametrize(
+        "flag, name",
+        [("--interp-factor", "interp_factor"), ("--order", "filter_order"),
+         ("--min-zero-count", "min_zero_count")],
+    )
+    def test_a_huge_rejected_count_is_echoed_short(self, tmp_path, capsys, flag, name):
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 24, 96)
+        assert main(["detect", "--input", str(path), flag, str(-(10**400))]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {name} must be an integer >= 1, got -10000000000..."
+            " (402 characters)\n"
+        )
 
     @pytest.mark.parametrize("command", [["detect", "--input", "x.csv"], ["eval", "m.jsonl"]])
     def test_min_zero_count_reaches_the_config(self, command):

@@ -2,7 +2,11 @@
 
 import importlib
 import math
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,22 +114,22 @@ class TestDetectionConfig:
             {"min_zero_count": 0},
             {"interp_factor": 2.5},
             {"filter_order": 2.5},
-            # No steady state: the poles round onto z = 1.
-            {"filter_order": 2, "filter_cutoff": 1e-8},
+            # No steady state: a pole rounds onto z = 1 (below about 1.57e-16
+            # at order 2, 1.11e-16 at 1, 5.69e-16 at 8 and 2.83e-15 at 40).
+            {"filter_order": 2, "filter_cutoff": 1.5e-16},
             {"filter_order": 1, "filter_cutoff": 1e-21},
-            # A steady state, but a DC gain off 1 by 1.3e-2 and by 0.19.
-            {"filter_order": 2, "filter_cutoff": 3e-8},
-            {"filter_order": 4, "filter_cutoff": 1e-8},
+            {"filter_order": 8, "filter_cutoff": 5.6e-16},
+            {"filter_order": 40, "filter_cutoff": 2.8e-15},
             # Values that used to build and then silently changed meaning.
             {"zero_tolerance_rel": math.nan},
             {"trend_log_threshold": math.nan},
             {"interp_factor": True},
             {"min_zero_count": True},
             {"min_zero_count": 2.5},
-            # Cutoffs so near pi that the design overflows at these orders.
+            # Cutoffs so near pi that a pole rounds onto z = -1 at these orders.
             {"filter_order": 20, "filter_cutoff": 3.1415926535897927},
-            {"filter_order": 40, "filter_cutoff": math.pi * (1 - 1e-9)},
-            # scipy refuses an order this large before it allocates anything.
+            {"filter_order": 40, "filter_cutoff": math.pi * (1 - 1e-15)},
+            # An order whose poles cannot be allocated.
             {"filter_order": 10**400},
             # Factors that upsample even 4 values past what numpy can index.
             {"interp_factor": (2**60 - 2) // 3 + 1},
@@ -173,3 +177,17 @@ def test_every_exported_name_resolves(module):
     # `from module import *` and misleads readers of the API.
     namespace = importlib.import_module(module)
     assert [name for name in namespace.__all__ if not hasattr(namespace, name)] == []
+
+
+def test_no_module_imports_scipy_signal():
+    # The filter runs on numpy alone; importing scipy.signal was about half
+    # of the start-up of every process that imports the CLI.
+    modules = ["seasonlen.cli"] + [
+        f"seasonlen.{info.name}" for info in pkgutil.iter_modules(seasonlen.__path__)
+    ]
+    code = f"import sys\nfor m in {modules!r}: __import__(m)\nprint('scipy.signal' in sys.modules)"
+    src = str(Path(seasonlen.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert done.stdout == "False\n"
