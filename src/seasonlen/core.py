@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,14 +141,58 @@ def validate_series(raw, delta: float = 1.0) -> TimeSeries:
     return TimeSeries(arr, delta)
 
 
+#: Longest row of the modal scan, 128 KiB of complex partial sums.
+_ROW = 1 << 13
+
+
+class FilterMode(NamedTuple):
+    """One section of a FilterSpec, with the tables the modal scan runs on.
+
+    The section keeps the state q_n = pole*q_{n-1} + residue*u_n and
+    outputs direct*u_n + Re(q_{n-1}); steady = residue / (1 - pole) is
+    its state in the steady-state response to a unit step, so a pass
+    that starts at sample value v starts from steady * v.
+
+    The scan cuts the values into rows of `row`, so few that
+    |pole|**-row stays within 2**10 (the whole _ROW for a slower pole).
+    Inside a row, u -> q is the weighted running sum q_j = down_j *
+    cumsum(up * u)_j, with up_i = residue * pole**(h - i) and down_j =
+    pole**(j - h) for the row's middle h, so no term strays further
+    than about 2**5 from q itself. A row's state reaches it as lead =
+    pole**(h + 1) in those weights and the next row as hop = pole**row.
+    A real pole has real constants.
+    """
+
+    pole: complex | float
+    residue: complex | float
+    direct: float
+    steady: complex | float
+    row: int
+    up: np.ndarray
+    down: np.ndarray
+    lead: complex | float
+    hop: complex | float
+
+
+def _mode(p, c, d: float, z) -> FilterMode:
+    """The FilterMode of a section with pole p, residue c, direct term d and steady state z."""
+    if p.imag == 0:
+        p, c, z = p.real, c.real, z.real
+    row = 1 if abs(p) < 2**-10 else min(_ROW, math.ceil(10 * math.log(2) / -math.log(abs(p))))
+    half = row // 2
+    down = np.power(p, np.arange(row) - half)
+    up = c / down
+    up.flags.writeable = down.flags.writeable = False
+    return FilterMode(p, c, d, z, row, up, down, p ** (half + 1), p**row)
+
+
 @dataclass(frozen=True, eq=False)
 class FilterSpec:
     """A discrete-time recursive low-pass filter, as cascaded sections.
 
     Each section has unit DC gain and zeros at z = -1. A section with a
     conjugate pole pair is run as one complex first-order mode, a real
-    pole as a real one: with state q_n = p*q_{n-1} + c*u_n, the section
-    maps its input u to d*u_n + Re(q_{n-1}).
+    pole as a real one (see FilterMode).
 
     Attributes:
         order: filter order.
@@ -155,21 +200,14 @@ class FilterSpec:
         sos: second-order sections, one row [b0, b1, b2, 1, a1, a2] each,
             the public description of the filter; an odd order ends with
             the first-order row [b0, b1, 0, 1, a1, 0].
-        poles: p of each section, the upper pole of its pair or its real pole.
-        residues: c of each section.
-        direct: d of each section.
-        steady: c / (1 - p), each section's state in the steady-state
-            response to a unit step; a pass that starts at sample value v
-            starts from steady * v.
+        modes: one FilterMode per section, the upper pole of its pair or
+            its real pole, in the order of sos.
     """
 
     order: int
     cutoff: float
     sos: np.ndarray
-    poles: np.ndarray
-    residues: np.ndarray
-    direct: np.ndarray
-    steady: np.ndarray
+    modes: tuple[FilterMode, ...]
 
 
 def _shown(value) -> str:
@@ -188,8 +226,9 @@ def design_butterworth_lowpass(order: int, cutoff: float) -> FilterSpec:
     (1 - s); every zero lands on z = -1. Each section's residue, direct
     term and steady state are worked out from its pole as rounded, so
     the filter that runs has unit DC gain to rounding. The design is
-    memoised: repeated calls with one (order, cutoff) return the same
-    FilterSpec, whose arrays must not be written.
+    memoised, with the tables the scan runs on: repeated calls with one
+    (order, cutoff) return the same FilterSpec, whose arrays are
+    read-only.
 
     Raises:
         ValueError: order not a positive integer or too large to
@@ -230,9 +269,9 @@ def design_butterworth_lowpass(order: int, cutoff: float) -> FilterSpec:
     sos[:, 3], sos[:, 4], sos[:, 5] = 1.0, -2 * poles.real, np.abs(poles) ** 2
     if n % 2:
         sos[-1, 1:] = direct[-1], 0.0, 1.0, -poles[-1].real, 0.0
-    for array in (sos, poles, residues, direct, steady):
-        array.flags.writeable = False
-    return FilterSpec(n, float(cutoff), sos, poles, residues, direct, steady)
+    sos.flags.writeable = False
+    modes = map(_mode, poles.tolist(), residues.tolist(), direct.tolist(), steady.tolist())
+    return FilterSpec(n, float(cutoff), sos, tuple(modes))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ would drag zeros by a frequency-dependent lag and bias every distance
 measured downstream. Each pass starts from the steady-state response to
 its first sample, which suppresses the start-up transient that zero
 initial conditions would inject at the series edges. The memoised
-design (in core, re-exported here) holds that start state per section.
+design (in core, re-exported here) holds that start state per section,
+with the tables the scan below runs on.
 
 Each section runs as a first-order modal recurrence q_n = p*q_{n-1} +
 c*u_n, which numpy evaluates without a loop per value: within a row of
@@ -23,14 +24,10 @@ that of one call of the scan over the whole array per pass.
 
 from __future__ import annotations
 
-import functools
-import math
-from typing import NamedTuple
-
 import numpy as np
 
 from seasonlen.core import FilterSpec, TimeSeries, TooShortError, design_butterworth_lowpass
-from seasonlen.core import _MAX_VALUES
+from seasonlen.core import _MAX_VALUES, _ROW, FilterMode
 
 __all__ = [
     "FilterSpec",
@@ -75,51 +72,11 @@ def apply_filter(series: TimeSeries, spec: FilterSpec) -> TimeSeries:
 #: Upsampled values per block of the streamed passes: 256 KiB, within L2.
 _BLOCK = 1 << 15
 
-#: Longest row of the modal scan, 128 KiB of complex partial sums.
-_ROW = 1 << 13
-
-#: Rows up to this long are summed column by column, faster than cumsum there.
-_COLUMNS = 32
-
 #: Carry factor below which a row's state no longer reaches later rows.
 _NEGLIGIBLE = 2.0**-64
 
 
-class _Mode(NamedTuple):
-    """One section of a FilterSpec, set up for _scan.
-
-    A row of _scan holds `row` values, so few that |p|**-row stays
-    within 2**10 (the whole _ROW for a slower pole). Inside a row,
-    u -> q is the weighted running sum q_j = down_j * cumsum(up * u)_j,
-    with up_i = c * p**(h - i) and down_j = p**(j - h) for the row's
-    middle h, so no term strays further than about 2**5 from q itself.
-    """
-
-    direct: float
-    steady: complex | float
-    row: int
-    up: np.ndarray
-    down: np.ndarray
-    lead: complex | float
-    hop: complex | float
-
-
-@functools.lru_cache(maxsize=16)
-def _modes(spec: FilterSpec) -> tuple[_Mode, ...]:
-    """Each section of spec as a _Mode, memoised beside the design."""
-    modes = []
-    for p, c, d, z in zip(*(a.tolist() for a in (spec.poles, spec.residues, spec.direct,
-                                                   spec.steady))):
-        if p.imag == 0:
-            p, c, z = p.real, c.real, z.real
-        row = 1 if abs(p) < 2**-10 else min(_ROW, math.ceil(10 * math.log(2) / -math.log(abs(p))))
-        half = row // 2
-        down = np.power(p, np.arange(row) - half)
-        modes.append(_Mode(d, z, row, c / down, down, p ** (half + 1), p ** row))
-    return tuple(modes)
-
-
-def _scan(u: np.ndarray, carry, mode: _Mode, work: np.ndarray):
+def _scan(u: np.ndarray, carry, mode: FilterMode, work: np.ndarray):
     """Run one section over u in place, from state carry; return the state after u.
 
     u is taken _BLOCK values at a time from its start, so a pass cut
@@ -140,11 +97,7 @@ def _scan(u: np.ndarray, carry, mode: _Mode, work: np.ndarray):
         if full < n:
             np.multiply(chunk[full:], mode.up[:n - full], out=rows[-1, :n - full])
             rows[-1, n - full:] = 0
-        if row > _COLUMNS:
-            np.cumsum(rows, axis=1, out=rows)
-        else:
-            for j in range(1, row):
-                rows[:, j] += rows[:, j - 1]
+        np.cumsum(rows, axis=1, out=rows)
         carries = np.empty(rows.shape[0], rows.dtype)
         carries[0] = carry
         np.multiply(rows[:-1, -1], mode.down[-1], out=carries[1:])
@@ -188,7 +141,7 @@ def _smooth(x: np.ndarray, factor: int, spec: FilterSpec | None = None) -> np.nd
         )
     out = np.empty(length)
     if spec is not None:
-        modes = _modes(spec)
+        modes = spec.modes
         work = np.empty(min(length, _BLOCK) + _ROW, complex)
         state, done = [0.0] * len(modes), 0
     per = max(1, _BLOCK // factor)

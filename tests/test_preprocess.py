@@ -12,7 +12,6 @@ from seasonlen.core import TimeSeries, TooShortError, validate_series
 from seasonlen.preprocess import (
     _BLOCK,
     _ROW,
-    _modes,
     _scan,
     _smooth,
     apply_filter,
@@ -148,8 +147,8 @@ class TestButterworthDesign:
     )
     def test_low_cutoffs_that_build(self, order, cutoff):
         spec = design_butterworth_lowpass(order, cutoff)
-        assert np.all(np.abs(spec.poles) < 1)
-        assert abs(np.prod(spec.direct + spec.steady.real) - 1.0) < 1e-12
+        assert all(abs(mode.pole) < 1 for mode in spec.modes)
+        assert abs(math.prod(mode.direct + mode.steady.real for mode in spec.modes) - 1.0) < 1e-12
 
     def test_near_pi_a_high_order_pole_rounds_onto_z_minus_1(self):
         # The last float below pi builds at order 8, not at order 20.
@@ -172,7 +171,7 @@ class TestButterworthDesign:
 
     def test_start_state_is_the_steady_state(self):
         spec, work = design_butterworth_lowpass(4, 0.05 * math.pi), np.empty(_BLOCK + _ROW, complex)
-        for mode in _modes(spec):
+        for mode in spec.modes:
             # From rest, a unit step's state settles on steady = c / (1 - p) ...
             settled = _scan(np.ones(5_000), 0.0, mode, work)
             assert abs(settled - mode.steady) < 1e-12 * abs(mode.steady)
@@ -217,10 +216,10 @@ def whole_array_run(values, spec):
     """The filter as one call of the modal kernel per section and pass."""
     y = values - values[0]
     work = np.empty(_BLOCK + _ROW, complex)
-    for mode in _modes(spec):
+    for mode in spec.modes:
         _scan(y, 0.0, mode, work)
     last = y[-1]
-    for mode in _modes(spec):
+    for mode in spec.modes:
         _scan(y[::-1], mode.steady * last, mode, work)
     return y + values[0]
 
@@ -268,13 +267,13 @@ class TestApplyFilter:
     @pytest.mark.parametrize("order, cutoff", [(1, 0.5 * math.pi), (2, 0.001 * math.pi),
                                                (8, 0.5 * math.pi), (40, 0.99 * math.pi)])
     def test_scan_matches_the_recurrence(self, order, cutoff):
-        # Rows of every length these modes use, summed by cumsum or column
-        # by column, a partial last row and a second chunk.
+        # Rows of every length these modes use, from one value to 5,621, a
+        # partial last row and a second chunk.
         u = np.random.default_rng(order).normal(0, 1, _BLOCK + 3_000)
         spec = design_butterworth_lowpass(order, cutoff)
-        for mode, p, c, d in zip(_modes(spec), spec.poles, spec.residues, spec.direct):
+        for mode in spec.modes:
             carry = mode.steady * 0.5
-            want, after = modal_recurrence(u, carry, p, c, d)
+            want, after = modal_recurrence(u, carry, mode.pole, mode.residue, mode.direct)
             got = u.copy()
             state = _scan(got, carry, mode, np.empty(_BLOCK + _ROW, complex))
             scale = np.abs(want).max()
