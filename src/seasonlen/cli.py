@@ -157,16 +157,25 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
     return validate_series(values, delta)
 
 
+#: The detection flags of detect and eval, as (flag, DetectionConfig field, help);
+#: each flag takes its type and default from the field's default.
+_CONFIG_FLAGS = (
+    ("--interp-factor", "interp_factor", "upsampling ratio before filtering"),
+    ("--order", "filter_order", "low-pass filter order"),
+    ("--cutoff", "filter_cutoff", "low-pass cutoff in rad/sample of the upsampled signal"),
+    ("--trend-threshold", "trend_log_threshold",
+     "log cost-gap threshold for picking a quadratic trend"),
+    ("--epsilon", "zero_tolerance_rel", "zero tolerance band relative to the correlation range"),
+    ("--quotient-threshold", "quotient_threshold",
+     "distance quotient jump that starts a new segment"),
+    ("--min-zero-count", "min_zero_count", "fewest autocorrelation zeros that can give a season"),
+)
+
+
 def _config_from_args(args: argparse.Namespace) -> DetectionConfig:
-    return DetectionConfig(
-        interp_factor=args.interp_factor,
-        filter_order=args.order,
-        filter_cutoff=args.cutoff,
-        trend_log_threshold=args.trend_threshold,
-        zero_tolerance_rel=args.epsilon,
-        quotient_threshold=args.quotient_threshold,
-        min_zero_count=args.min_zero_count,
-    )
+    return DetectionConfig(**{
+        name: getattr(args, flag[2:].replace("-", "_")) for flag, name, _ in _CONFIG_FLAGS
+    })
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
@@ -341,20 +350,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     defaults = DetectionConfig()
-    parser.add_argument("--interp-factor", type=int, default=defaults.interp_factor,
-                        help="upsampling ratio before filtering")
-    parser.add_argument("--order", type=int, default=defaults.filter_order,
-                        help="low-pass filter order")
-    parser.add_argument("--cutoff", type=float, default=defaults.filter_cutoff,
-                        help="low-pass cutoff in rad/sample of the upsampled signal")
-    parser.add_argument("--trend-threshold", type=float, default=defaults.trend_log_threshold,
-                        help="log cost-gap threshold for picking a quadratic trend")
-    parser.add_argument("--epsilon", type=float, default=defaults.zero_tolerance_rel,
-                        help="zero tolerance band relative to the correlation range")
-    parser.add_argument("--quotient-threshold", type=float, default=defaults.quotient_threshold,
-                        help="distance quotient jump that starts a new segment")
-    parser.add_argument("--min-zero-count", type=int, default=defaults.min_zero_count,
-                        help="fewest autocorrelation zeros that can give a season")
+    for flag, name, text in _CONFIG_FLAGS:
+        default = getattr(defaults, name)
+        parser.add_argument(flag, type=type(default), default=default, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,7 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Detection raises NonFiniteError where huge input overflows; numpy's
+        # warnings on the way there would add lines before the one error line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (DetectionError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

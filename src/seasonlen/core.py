@@ -1,16 +1,15 @@
-"""Domain types, configuration, the filter design, and the error taxonomy.
+"""Domain types, configuration, and the error taxonomy.
 
 Every type in this module is an immutable value object. Input is
 validated once, where it enters: TimeSeries checks the observations and
 DetectionConfig the tuning constants, down to the filter design they
-name (kept here, and re-exported by preprocess, for that check); after
-that, detection checks only that the series is long enough, and works on
-plain arrays it owns without re-validating them. Two checks of values it
-computes anyway, the range of the filtered series and the peak of the
-centred series the autocorrelation starts from, raise NonFiniteError
-when huge input overflows. Stage functions that take a bare number or
-array still check it, so each stays callable on its own; each wraps its
-output in a new TimeSeries.
+name; after that, detection checks only that the series is long
+enough, and works on plain arrays it owns without re-validating them.
+Two checks of values it computes anyway, the range of the filtered
+series and the peak of the centred series the autocorrelation starts
+from, raise NonFiniteError when huge input overflows. Stage functions
+that take a bare number or array still check it, so each stays callable
+on its own; each wraps its output in a new TimeSeries.
 
 DetectionError means the input data is bad, and each subclass names a
 condition a caller can act on. A bad argument raises ValueError.
@@ -18,10 +17,8 @@ condition a caller can act on. A bad argument raises ValueError.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,8 +32,6 @@ __all__ = [
     "DetectionConfig",
     "DetectionDiagnostics",
     "DetectionResult",
-    "FilterSpec",
-    "design_butterworth_lowpass",
     "validate_series",
     "MIN_DETECTION_LENGTH",
 ]
@@ -141,137 +136,10 @@ def validate_series(raw, delta: float = 1.0) -> TimeSeries:
     return TimeSeries(arr, delta)
 
 
-#: Longest row of the modal scan, 128 KiB of complex partial sums.
-_ROW = 1 << 13
-
-
-class FilterMode(NamedTuple):
-    """One section of a FilterSpec, with the tables the modal scan runs on.
-
-    The section keeps the state q_n = pole*q_{n-1} + residue*u_n and
-    outputs direct*u_n + Re(q_{n-1}); steady = residue / (1 - pole) is
-    its state in the steady-state response to a unit step, so a pass
-    that starts at sample value v starts from steady * v.
-
-    The scan cuts the values into rows of `row`, so few that
-    |pole|**-row stays within 2**10 (the whole _ROW for a slower pole).
-    Inside a row, u -> q is the weighted running sum q_j = down_j *
-    cumsum(up * u)_j, with up_i = residue * pole**(h - i) and down_j =
-    pole**(j - h) for the row's middle h, so no term strays further
-    than about 2**5 from q itself. A row's state reaches it as lead =
-    pole**(h + 1) in those weights and the next row as hop = pole**row.
-    A real pole has real constants.
-    """
-
-    pole: complex | float
-    residue: complex | float
-    direct: float
-    steady: complex | float
-    row: int
-    up: np.ndarray
-    down: np.ndarray
-    lead: complex | float
-    hop: complex | float
-
-
-def _mode(p, c, d: float, z) -> FilterMode:
-    """The FilterMode of a section with pole p, residue c, direct term d and steady state z."""
-    if p.imag == 0:
-        p, c, z = p.real, c.real, z.real
-    row = 1 if abs(p) < 2**-10 else min(_ROW, math.ceil(10 * math.log(2) / -math.log(abs(p))))
-    half = row // 2
-    down = np.power(p, np.arange(row) - half)
-    up = c / down
-    up.flags.writeable = down.flags.writeable = False
-    return FilterMode(p, c, d, z, row, up, down, p ** (half + 1), p**row)
-
-
-@dataclass(frozen=True, eq=False)
-class FilterSpec:
-    """A discrete-time recursive low-pass filter, as cascaded sections.
-
-    Each section has unit DC gain and zeros at z = -1. A section with a
-    conjugate pole pair is run as one complex first-order mode, a real
-    pole as a real one (see FilterMode).
-
-    Attributes:
-        order: filter order.
-        cutoff: half-power frequency in rad/sample.
-        sos: second-order sections, one row [b0, b1, b2, 1, a1, a2] each,
-            the public description of the filter; an odd order ends with
-            the first-order row [b0, b1, 0, 1, a1, 0].
-        modes: one FilterMode per section, the upper pole of its pair or
-            its real pole, in the order of sos.
-    """
-
-    order: int
-    cutoff: float
-    sos: np.ndarray
-    modes: tuple[FilterMode, ...]
-
-
 def _shown(value) -> str:
     """value as text, cut short so that a huge number cannot flood a message."""
     text = str(value)
     return text if len(text) <= 20 else f"{text[:12]}... ({len(text)} characters)"
-
-
-@functools.lru_cache(maxsize=16)
-def design_butterworth_lowpass(order: int, cutoff: float) -> FilterSpec:
-    """Design a Butterworth low-pass with its half-power point at cutoff.
-
-    The analog prototype's poles, on a circle of radius tan(cutoff / 2)
-    (the pre-warping that puts the half-power point exactly at cutoff),
-    are mapped to discrete time by the bilinear transform z = (1 + s) /
-    (1 - s); every zero lands on z = -1. Each section's residue, direct
-    term and steady state are worked out from its pole as rounded, so
-    the filter that runs has unit DC gain to rounding. The design is
-    memoised, with the tables the scan runs on: repeated calls with one
-    (order, cutoff) return the same FilterSpec, whose arrays are
-    read-only.
-
-    Raises:
-        ValueError: order not a positive integer or too large to
-            allocate, cutoff not inside (0, pi), or a design the filter
-            cannot run: a pole that rounds onto the unit circle (cutoffs
-            near 0 or pi), a non-finite constant, or a DC gain off 1 by
-            more than 1e-6.
-    """
-    if order < 1 or order != int(order):
-        raise ValueError(f"order must be a positive integer, got {_shown(order)}")
-    if not 0.0 < cutoff < math.pi:
-        raise ValueError(f"cutoff must lie in (0, pi), got {cutoff}")
-    n, named = int(order), f"order {_shown(order)} at cutoff {cutoff}"
-    try:
-        pairs = np.arange(n // 2)
-    except (ValueError, MemoryError):
-        raise ValueError(f"order {_shown(order)} is too large to allocate") from None
-    radius = math.tan(cutoff / 2)
-    with np.errstate(all="ignore"):
-        s = radius * np.exp(1j * np.pi * (2 * pairs + n + 1) / (2 * n))
-        poles = np.append((1 + s) / (1 - s), [(1 - radius) / (1 + radius)] * (n % 2))
-        gap = 1 - poles
-        direct = np.abs(gap) ** 2 / 4
-        residues = direct * (1 + poles) ** 2 / (1j * poles.imag)
-        if n % 2:
-            direct[-1] = gap[-1].real / 2
-            residues[-1] = direct[-1] * (1 + poles[-1])
-        steady = residues / gap
-        dc = np.prod(direct + steady.real)
-    if not np.all(np.abs(poles) < 1):
-        raise ValueError(f"{named} has no steady state: a pole rounds onto the unit circle")
-    if not (np.all(np.isfinite(residues)) and np.all(np.isfinite(steady))):
-        raise ValueError(f"{named} has a non-finite design")
-    if not abs(dc - 1.0) <= 1e-6:
-        raise ValueError(f"{named} has DC gain {dc:.6g}, not 1")
-    sos = np.zeros((poles.size, 6))
-    sos[:, 0], sos[:, 1], sos[:, 2] = direct, 2 * direct, direct
-    sos[:, 3], sos[:, 4], sos[:, 5] = 1.0, -2 * poles.real, np.abs(poles) ** 2
-    if n % 2:
-        sos[-1, 1:] = direct[-1], 0.0, 1.0, -poles[-1].real, 0.0
-    sos.flags.writeable = False
-    modes = map(_mode, poles.tolist(), residues.tolist(), direct.tolist(), steady.tolist())
-    return FilterSpec(n, float(cutoff), sos, tuple(modes))
 
 
 @dataclass(frozen=True)
@@ -309,6 +177,8 @@ class DetectionConfig:
     min_zero_count: int = 3
 
     def __post_init__(self) -> None:
+        from seasonlen.preprocess import design_butterworth_lowpass  # preprocess imports core
+
         for name in ("interp_factor", "filter_order", "min_zero_count"):
             value = getattr(self, name)  # a bool is not a count; float() of a huge int overflows
             whole = isinstance(value, (int, np.integer)) or float(value).is_integer()
@@ -337,7 +207,13 @@ class DetectionConfig:
 
 @dataclass(frozen=True)
 class DetectionDiagnostics:
-    """Summary of the zero analysis behind a detection outcome.
+    """The outcome of the zero analysis behind a detection result.
+
+    estimate_from_zeros fills it where it chooses the window. An exit
+    before the segmentation keeps the defaults, apart from the zero
+    count when too few zeros were found, and leaves the arrays None.
+    The arrays are read-only and take no part in equality, hashing or
+    repr, so records compare by their summary fields alone.
 
     Attributes:
         zero_count: number of zeros found in the detrended autocorrelation.
@@ -345,12 +221,19 @@ class DetectionDiagnostics:
             run, or None when segmentation was not reached or not needed.
         member_count: number of distances averaged into the estimate.
         low_confidence: True when the estimate rests on a single distance.
+        raw_distances: differences between consecutive zeros.
+        distances: ascending survivors after discarding distances <= 1.
+        change_points: indices where the quotient sequence jumps (1-based
+            into distances), or None when segmentation was not reached.
     """
 
     zero_count: int = 0
     interval: tuple[int, int] | None = None
     member_count: int = 0
     low_confidence: bool = False
+    raw_distances: np.ndarray | None = field(default=None, compare=False, repr=False)
+    distances: np.ndarray | None = field(default=None, compare=False, repr=False)
+    change_points: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -102,14 +102,8 @@ def detect_season_length(
     if zeros.size < config.min_zero_count:
         return _result(degree, DetectionDiagnostics(zero_count=int(zeros.size)))
 
-    season, analysis = estimate_from_zeros(
+    season, diagnostics = estimate_from_zeros(
         zeros, config.quotient_threshold, config.interp_factor
-    )
-    diagnostics = DetectionDiagnostics(
-        zero_count=int(zeros.size),
-        interval=analysis.interval,
-        member_count=analysis.member_count,
-        low_confidence=analysis.low_confidence,
     )
     return _result(degree, diagnostics, season, series.delta)
 

@@ -1,4 +1,4 @@
-"""Linear upsampling and zero-phase low-pass smoothing.
+"""Linear upsampling, the Butterworth design, and zero-phase low-pass smoothing.
 
 Filtering runs forward and then backward over the series, so periodic
 components keep their zero-crossing positions; a single causal pass
@@ -6,8 +6,8 @@ would drag zeros by a frequency-dependent lag and bias every distance
 measured downstream. Each pass starts from the steady-state response to
 its first sample, which suppresses the start-up transient that zero
 initial conditions would inject at the series edges. The memoised
-design (in core, re-exported here) holds that start state per section,
-with the tables the scan below runs on.
+design holds that start state per section, with the tables the scan
+runs on.
 
 Each section runs as a first-order modal recurrence q_n = p*q_{n-1} +
 c*u_n, which numpy evaluates without a loop per value: within a row of
@@ -24,10 +24,14 @@ that of one call of the scan over the whole array per pass.
 
 from __future__ import annotations
 
+import functools
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
-from seasonlen.core import FilterSpec, TimeSeries, TooShortError, design_butterworth_lowpass
-from seasonlen.core import _MAX_VALUES, _ROW, FilterMode
+from seasonlen.core import _MAX_VALUES, TimeSeries, TooShortError, _shown
 
 __all__ = [
     "FilterSpec",
@@ -51,6 +55,133 @@ def interpolate_linear(series: TimeSeries, factor: int) -> TimeSeries:
     if factor == 1:
         return series
     return TimeSeries(_smooth(series.values, factor), series.delta / factor)
+
+
+#: Longest row of the modal scan, 128 KiB of complex partial sums.
+_ROW = 1 << 13
+
+
+class FilterMode(NamedTuple):
+    """One section of a FilterSpec, with the tables the modal scan runs on.
+
+    The section keeps the state q_n = pole*q_{n-1} + residue*u_n and
+    outputs direct*u_n + Re(q_{n-1}); steady = residue / (1 - pole) is
+    its state in the steady-state response to a unit step, so a pass
+    that starts at sample value v starts from steady * v.
+
+    The scan cuts the values into rows of `row`, so few that
+    |pole|**-row stays within 2**10 (the whole _ROW for a slower pole).
+    Inside a row, u -> q is the weighted running sum q_j = down_j *
+    cumsum(up * u)_j, with up_i = residue * pole**(h - i) and down_j =
+    pole**(j - h) for the row's middle h, so no term strays further
+    than about 2**5 from q itself. A row's state reaches it as lead =
+    pole**(h + 1) in those weights and the next row as hop = pole**row.
+    A real pole has real constants.
+    """
+
+    pole: complex | float
+    residue: complex | float
+    direct: float
+    steady: complex | float
+    row: int
+    up: np.ndarray
+    down: np.ndarray
+    lead: complex | float
+    hop: complex | float
+
+
+def _mode(p, c, d: float, z) -> FilterMode:
+    """The FilterMode of a section with pole p, residue c, direct term d and steady state z."""
+    if p.imag == 0:
+        p, c, z = p.real, c.real, z.real
+    row = 1 if abs(p) < 2**-10 else min(_ROW, math.ceil(10 * math.log(2) / -math.log(abs(p))))
+    half = row // 2
+    down = np.power(p, np.arange(row) - half)
+    up = c / down
+    up.flags.writeable = down.flags.writeable = False
+    return FilterMode(p, c, d, z, row, up, down, p ** (half + 1), p**row)
+
+
+@dataclass(frozen=True, eq=False)
+class FilterSpec:
+    """A discrete-time recursive low-pass filter, as cascaded sections.
+
+    Each section has unit DC gain and zeros at z = -1. A section with a
+    conjugate pole pair is run as one complex first-order mode, a real
+    pole as a real one (see FilterMode).
+
+    Attributes:
+        order: filter order.
+        cutoff: half-power frequency in rad/sample.
+        sos: second-order sections, one row [b0, b1, b2, 1, a1, a2] each,
+            the public description of the filter; an odd order ends with
+            the first-order row [b0, b1, 0, 1, a1, 0].
+        modes: one FilterMode per section, the upper pole of its pair or
+            its real pole, in the order of sos.
+    """
+
+    order: int
+    cutoff: float
+    sos: np.ndarray
+    modes: tuple[FilterMode, ...]
+
+
+@functools.lru_cache(maxsize=16)
+def design_butterworth_lowpass(order: int, cutoff: float) -> FilterSpec:
+    """Design a Butterworth low-pass with its half-power point at cutoff.
+
+    The analog prototype's poles, on a circle of radius tan(cutoff / 2)
+    (the pre-warping that puts the half-power point exactly at cutoff),
+    are mapped to discrete time by the bilinear transform z = (1 + s) /
+    (1 - s); every zero lands on z = -1. Each section's residue, direct
+    term and steady state are worked out from its pole as rounded, so
+    the filter that runs has unit DC gain to rounding. The design is
+    memoised, with the tables the scan runs on: repeated calls with one
+    (order, cutoff) return the same FilterSpec, whose arrays are
+    read-only.
+
+    Raises:
+        ValueError: order not a positive integer or too large to
+            allocate, cutoff not inside (0, pi), or a design the filter
+            cannot run: a pole that rounds onto the unit circle (cutoffs
+            near 0 or pi), a non-finite constant, or a DC gain off 1 by
+            more than 1e-6.
+    """
+    if order < 1 or order != int(order):
+        raise ValueError(f"order must be a positive integer, got {_shown(order)}")
+    if not 0.0 < cutoff < math.pi:
+        raise ValueError(f"cutoff must lie in (0, pi), got {cutoff}")
+    n, named = int(order), f"order {_shown(order)} at cutoff {cutoff}"
+    try:
+        pairs = np.arange(n // 2)
+    except (ValueError, MemoryError):
+        raise ValueError(f"order {_shown(order)} is too large to allocate") from None
+    radius = math.tan(cutoff / 2)
+    with np.errstate(all="ignore"):
+        s = radius * np.exp(1j * np.pi * (2 * pairs + n + 1) / (2 * n))
+        poles = np.append((1 + s) / (1 - s), [(1 - radius) / (1 + radius)] * (n % 2))
+        gap = 1 - poles
+        direct = np.abs(gap) ** 2 / 4
+        residues = direct * (1 + poles) ** 2 / (1j * poles.imag)
+        if n % 2:
+            direct[-1] = gap[-1].real / 2
+            residues[-1] = direct[-1] * (1 + poles[-1])
+        steady = residues / gap
+        dc = np.prod(direct + steady.real)
+    if not np.all(np.abs(poles) < 1):
+        raise ValueError(f"{named} has no steady state: a pole rounds onto the unit circle")
+    if not (np.all(np.isfinite(residues)) and np.all(np.isfinite(steady))):
+        raise ValueError(f"{named} has a non-finite design")
+    if not abs(dc - 1.0) <= 1e-6:
+        raise ValueError(f"{named} has DC gain {dc:.6g}, not 1")
+    sos = np.zeros((poles.size, 6))
+    sos[:, 0], sos[:, 1], sos[:, 2] = direct, 2 * direct, direct
+    sos[:, 3], sos[:, 4], sos[:, 5] = 1.0, -2 * poles.real, np.abs(poles) ** 2
+    if n % 2:
+        sos[-1, 1:] = direct[-1], 0.0, 1.0, -poles[-1].real, 0.0
+    sos.flags.writeable = False
+    modes = map(_mode, poles.tolist(), residues.tolist(), direct.tolist(), steady.tolist())
+    return FilterSpec(n, float(cutoff), sos, tuple(modes))
 
 
 def apply_filter(series: TimeSeries, spec: FilterSpec) -> TimeSeries:

@@ -15,14 +15,11 @@ counts only in the final averaging step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from seasonlen.core import TimeSeries
+from seasonlen.core import DetectionDiagnostics, TimeSeries
 
 __all__ = [
-    "ZeroAnalysis",
     "find_zeros",
     "zero_distances",
     "quotients",
@@ -31,30 +28,6 @@ __all__ = [
     "season_from_interval",
     "estimate_from_zeros",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ZeroAnalysis:
-    """Intermediate products of the distance segmentation.
-
-    Attributes:
-        raw_distances: differences between consecutive zeros.
-        distances: ascending survivors after discarding distances <= 1.
-        change_points: indices where the quotient sequence jumps (1-based
-            into distances), or None when segmentation was not reached.
-        interval: selected half-open bounds (a, b], 1-based into
-            distances, or None when segmentation was not reached or
-            found no stable run.
-        member_count: number of distances behind the final estimate.
-        low_confidence: True when only a single distance survived.
-    """
-
-    raw_distances: np.ndarray
-    distances: np.ndarray
-    change_points: np.ndarray | None = None
-    interval: tuple[int, int] | None = None
-    member_count: int = 0
-    low_confidence: bool = False
 
 
 def find_zeros(acf: TimeSeries, epsilon_rel: float) -> np.ndarray:
@@ -204,7 +177,7 @@ def season_from_interval(
 
 def estimate_from_zeros(
     zeros: np.ndarray, quotient_threshold: float, interp_factor: int
-) -> tuple[float | None, ZeroAnalysis]:
+) -> tuple[float | None, DetectionDiagnostics]:
     """Run the distance segmentation and return the season estimate.
 
     Every estimate is season_from_interval over one window (a, b] of the
@@ -212,14 +185,17 @@ def estimate_from_zeros(
     whose ratio exceeds 1 + quotient_threshold (the smaller one wins);
     (0, 2] for two closer distances; and the select_interval run of the
     quotient segmentation for three or more. No window means no season:
-    no distance survived, or the change points collapsed to one. Only a
-    segmentation window is reported as the analysis' interval.
+    no distance survived, or the change points collapsed to one. The
+    returned record holds the distances, the change points and, only
+    for a segmentation window, the interval.
     """
     raw, cleaned = zero_distances(zeros)
+    raw.flags.writeable = cleaned.flags.writeable = False
     points = None
     window = None
     if cleaned.size >= 3:
         points = change_points(quotients(cleaned), quotient_threshold)
+        points.flags.writeable = False
         if points.size >= 2:
             window = select_interval(points, cleaned)
     elif cleaned.size == 2 and quotients(cleaned)[0] - 1.0 <= quotient_threshold:
@@ -227,12 +203,13 @@ def estimate_from_zeros(
     elif cleaned.size > 0:
         window = (0, 1)
     season = None if window is None else season_from_interval(cleaned, *window, interp_factor)
-    analysis = ZeroAnalysis(
-        raw,
-        cleaned,
-        change_points=points,
+    diagnostics = DetectionDiagnostics(
+        zero_count=len(zeros),
         interval=window if points is not None else None,
         member_count=0 if window is None else window[1] - window[0],
         low_confidence=cleaned.size == 1,
+        raw_distances=raw,
+        distances=cleaned,
+        change_points=points,
     )
-    return season, analysis
+    return season, diagnostics

@@ -321,6 +321,18 @@ class TestDetectCommand:
             " (402 characters)\n"
         )
 
+    def test_overflow_inside_detection_prints_one_error_line(self, tmp_path, capsys):
+        # The values are finite, but their sum and the autocorrelation's peak
+        # overflow. The suite raises RuntimeWarnings, so a numpy warning on
+        # the way fails this test instead of printing lines before the error.
+        path = tmp_path / "huge.csv"
+        values = 1e307 * np.sin(2 * np.pi * np.arange(2000) / 100)
+        path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        assert main(["detect", "--input", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: NonFiniteError: non-finite value at index 0"
+        ]
+
     @pytest.mark.parametrize("command", [["detect", "--input", "x.csv"], ["eval", "m.jsonl"]])
     def test_min_zero_count_reaches_the_config(self, command):
         args = build_parser().parse_args(command + ["--min-zero-count", "7"])

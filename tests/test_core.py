@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 import seasonlen
 from seasonlen.core import (
     DetectionConfig,
+    DetectionDiagnostics,
     DetectionError,
     DetectionResult,
     NonFiniteError,
@@ -156,6 +157,15 @@ class TestDetectionResult:
     def test_no_season_outcome(self):
         result = DetectionResult(season_length=None, unscaled_length=None, trend_degree=1)
         assert not result.is_seasonal
+
+    def test_records_that_differ_only_in_their_arrays_are_equal(self):
+        one = DetectionDiagnostics(5, (1, 3), 2, False, np.array([4.0, 6.0]), np.array([6.0]))
+        other = DetectionDiagnostics(5, (1, 3), 2, False, np.array([9.0]), None, np.array([1]))
+        for a, b in ((one, other), (DetectionResult(3.0, 3.0, 1, one),
+                                    DetectionResult(3.0, 3.0, 1, other))):
+            assert a == b
+            assert hash(a) == hash(b)
+            assert repr(a) == repr(b)
 
     @pytest.mark.parametrize("values", [[], [1.0]], ids=["empty", "one"])
     def test_time_series_needs_two_values(self, values):

@@ -70,9 +70,9 @@ def chained_stages(series, config):
     zeros = find_zeros(detrend_acf(acf), config.zero_tolerance_rel)
     if zeros.size < config.min_zero_count:
         return DetectionResult(None, None, degree, DetectionDiagnostics(zero_count=zeros.size))
-    season, analysis = estimate_from_zeros(zeros, config.quotient_threshold, config.interp_factor)
-    diagnostics = DetectionDiagnostics(zeros.size, analysis.interval, analysis.member_count,
-                                       analysis.low_confidence)
+    season, diagnostics = estimate_from_zeros(
+        zeros, config.quotient_threshold, config.interp_factor
+    )
     if season is None or season < MIN_SEASON:
         return DetectionResult(None, None, degree, diagnostics)
     return DetectionResult(season * series.delta, season, degree, diagnostics)
@@ -150,6 +150,16 @@ class TestDetectSeasonLength:
         assert result.diagnostics.interval is None
         assert result.diagnostics.member_count == 0
 
+    def test_exit_before_segmentation_leaves_no_arrays(self):
+        config = DetectionConfig(filter_cutoff=0.05 * math.pi, min_zero_count=10_000)
+        for diagnostics in (
+            detect_season_length(sine_series(20, 800), config).diagnostics,
+            detect_season_length(validate_series([3.0] * 100)).diagnostics,
+        ):
+            assert diagnostics.raw_distances is None
+            assert diagnostics.distances is None
+            assert diagnostics.change_points is None
+
     def test_quadratic_false_positive_mechanism(self):
         # Dense zeros one lag apart: every distance fails the "longer than
         # one lag" rule, so nothing survives to the averaging step. This is
@@ -214,7 +224,12 @@ class TestDetectSeasonLength:
         for series, _, label in SEED7_CASES:
             before = series.values.copy()
             result = detect_season_length(series, config)
-            assert result == chained_stages(series, config), label
+            chained = chained_stages(series, config)
+            assert result == chained, label
+            for name in ("raw_distances", "distances", "change_points"):
+                # Both None before the segmentation; array_equal holds for two Nones.
+                got, want = getattr(result.diagnostics, name), getattr(chained.diagnostics, name)
+                assert np.array_equal(got, want), (label, name)
             assert series.values.tobytes() == before.tobytes(), label
 
     @pytest.mark.parametrize(

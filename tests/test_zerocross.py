@@ -249,9 +249,18 @@ class TestEstimateFromZeros:
         zeros = np.concatenate(([100.0], 100.0 + np.cumsum(REFERENCE_DISTANCES)))
         season, analysis = estimate_from_zeros(zeros, 0.5, 1)
         assert season == 1407.0
+        assert analysis.zero_count == zeros.size
         assert analysis.interval == (2, 8)
         assert analysis.member_count == 6
         assert analysis.change_points.tolist() == [2, 8, 9, 10]
+
+    def test_recorded_arrays_are_read_only(self):
+        zeros = np.concatenate(([100.0], 100.0 + np.cumsum(REFERENCE_DISTANCES)))
+        _, diagnostics = estimate_from_zeros(zeros, 0.5, 1)
+        for array in (diagnostics.raw_distances, diagnostics.distances,
+                      diagnostics.change_points):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_no_surviving_distance(self):
         season, analysis = estimate_from_zeros(np.array([2.0, 3.0, 4.0]), 0.5, 1)
