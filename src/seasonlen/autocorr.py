@@ -18,7 +18,8 @@ few tail rows; the imaginary one is the only new series-sized array.
 The autocorrelation is real and even, so half the inverse suffices:
 one inverse Hermitian FFT per row gives the first n2//2 + 1 columns,
 only those are transformed down, and each fills its mirror column.
-Shorter series run the one monolithic transform.
+Shorter series run the one monolithic transform. Every transform is
+numpy.fft's pocketfft.
 
 Even a well-detrended series leaves the autocorrelation with a small
 residual tilt; a second linear regression over the lags removes it so
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.fft
 
 from seasonlen.core import TimeSeries, ZeroVarianceError, _nonfinite_error
 from seasonlen.detrend import _remove_polynomial
@@ -77,13 +77,38 @@ _SPLIT_BLOCK = 1 << 15
 def _factor(n: int) -> tuple[int, int]:
     """Transform length n1 * n2 >= 2n for the ACF of n values, as (n1, n2).
 
-    n2 == 1 is the unsplit transform of length next_fast_len(2n).
+    n2 == 1 is the unsplit transform of length _fast_len(2n).
     """
-    nfft = scipy.fft.next_fast_len(2 * n)
+    nfft = _fast_len(2 * n)
     if nfft < _SPLIT_NFFT:
         return nfft, 1
-    n2 = scipy.fft.next_fast_len(math.isqrt(2 * n))
-    return scipy.fft.next_fast_len(-(-2 * n // n2), real=True), n2
+    n2 = _fast_len(math.isqrt(2 * n))
+    return _fast_len(-(-2 * n // n2), (5,)), n2
+
+
+def _fast_len(target: int, primes: tuple[int, ...] = (5, 7, 11)) -> int:
+    """The least length >= target with no prime factor but 2, 3 and primes.
+
+    pocketfft's good_size, as scipy.fft.next_fast_len(target) gives it;
+    primes=(5,) gives next_fast_len(target, real=True). The power of two
+    >= target is the first candidate. Every product f of powers of primes
+    below it is walked up by factors of 3, and each f * 3**j is doubled
+    to the least such multiple >= target.
+    """
+    below = target - 1
+    best = 1 << below.bit_length()
+    factors = [1]
+    for p in primes:
+        for f in list(factors):
+            while (f := f * p) < best:
+                factors.append(f)
+    for f in factors:
+        while f < best:
+            candidate = f << (below // f).bit_length()
+            if candidate < best:
+                best = candidate
+            f *= 3
+    return best
 
 
 def _grid(x: np.ndarray, n2: int) -> tuple[np.ndarray, int, np.ndarray]:
@@ -118,7 +143,7 @@ def _column_spectra(x: np.ndarray, mean: float, scale: int, n1: int, n2: int) ->
         np.subtract(extra, mean, out=columns[:extra.size, rows])
         columns[extra.size:, rows] = 0.0
         np.ldexp(columns[:, :rows + 1], scale, out=columns[:, :rows + 1])
-        spectrum = scipy.fft.rfft(columns, axis=1).T
+        spectrum = np.fft.rfft(columns, axis=1).T
         grid[:, start:stop], tail[:, start:stop] = np.split(spectrum.real, [rows])
         imag[:, start:stop] = spectrum.imag
     return tail, imag
@@ -144,7 +169,7 @@ def _column_lags(x: np.ndarray, tail: np.ndarray, imag: np.ndarray, n1: int) -> 
         stop = start + columns.shape[0]
         np.concatenate((grid[:, start:stop], tail[:, start:stop]), out=columns.real.T)
         columns.imag = imag[:, start:stop].T
-        lags = scipy.fft.irfft(columns, n1, axis=1, overwrite_x=True, norm="forward")
+        lags = np.fft.irfft(columns, n1, axis=1, norm="forward")
         if start == 0:
             lag0 = lags[0, 0]
         # Columns b in [lo, hi) have mirrors; theirs run n2 - hi + 1 .. n2 - lo.
@@ -174,7 +199,7 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
     rows the pass has already read. Both inverses are unscaled: dividing
     by lag 0 takes out their factor n1 * n2. Short series (n2 == 1) are
     centred and scaled in place and run the one real FFT of length
-    next_fast_len(2n) and its inverse.
+    _fast_len(2n) and its inverse.
     """
     n = x.size
     mean = x.mean()
@@ -189,10 +214,10 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
     if n2 == 1:
         x -= mean
         np.ldexp(x, scale, out=x)
-        spectrum = scipy.fft.rfft(x, n1)
+        spectrum = np.fft.rfft(x, n1)
         np.square(np.abs(spectrum), out=spectrum.real)
         spectrum.imag = 0.0
-        lags = scipy.fft.irfft(spectrum, n1, overwrite_x=True)
+        lags = np.fft.irfft(spectrum, n1)
         np.divide(lags[:n], lags[0], out=x)
         return
     tail, imag = _column_spectra(x, mean, scale, n1, n2)
@@ -214,10 +239,10 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
         twiddle = np.multiply(coarse[start:stop], fine[start:stop], out=twiddles[:stop - start])
         twiddle = twiddle.reshape(stop - start, -1)[:, :n2]
         block *= twiddle
-        transformed = scipy.fft.fft(block, axis=1, overwrite_x=True)
+        transformed = np.fft.fft(block, axis=1, out=block)
         power = np.square(transformed.real, out=squares[:block.shape[0]])
         power += np.square(transformed.imag, out=transformed.imag)
-        inverse = scipy.fft.ihfft(power, axis=1, norm="forward")
+        inverse = np.fft.ihfft(power, axis=1, norm="forward")
         inverse *= np.conjugate(twiddle[:, :half], out=twiddle[:, :half])
         real[0][:, :half], real[1][:, :half] = np.split(inverse.real, [real[0].shape[0]])
         imag[start:stop, :half] = inverse.imag

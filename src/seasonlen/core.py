@@ -58,6 +58,10 @@ class NonFiniteError(DetectionError):
         super().__init__(f"non-finite value at index {index}")
         self.index = index
 
+    def __reduce__(self) -> tuple:
+        # The default rebuilds from args, the message, not the index.
+        return type(self), (self.index,)
+
 
 def _nonfinite_error(values: np.ndarray) -> NonFiniteError:
     """NonFiniteError at the first NaN or infinity in values.

@@ -12,13 +12,14 @@ from seasonlen.autocorr import (
     _SPLIT_BLOCK,
     _SPLIT_NFFT,
     _factor,
+    _fast_len,
     _grid,
     autocorrelation,
     detrend_acf,
 )
 from seasonlen.core import NonFiniteError, TimeSeries, ZeroVarianceError, validate_series
 
-#: Half the threshold: next_fast_len(2n) == _SPLIT_NFFT, so the transform is split.
+#: Half the threshold: _fast_len(2n) == _SPLIT_NFFT, so the transform is split.
 SPLIT_N = _SPLIT_NFFT // 2
 
 #: A split-size input in [1, 2] for the power-of-two scaling property.
@@ -199,6 +200,32 @@ def complex_spectrum_acf(values):
     return acf
 
 
+class TestTransformLength:
+    """_fast_len is a port of pocketfft's good_size, so scipy.fft.next_fast_len is its reference."""
+
+    @staticmethod
+    def assert_matches_scipy(lengths):
+        for primes, real in (((5, 7, 11), False), ((5,), True)):
+            ours = [_fast_len(n, primes) for n in lengths]
+            assert ours == [scipy.fft.next_fast_len(n, real) for n in lengths], real
+
+    def test_every_length_up_to_ten_thousand(self):
+        self.assert_matches_scipy(range(1, 10_001))
+
+    def test_random_lengths_up_to_a_billion(self):
+        self.assert_matches_scipy(np.random.default_rng(9).integers(1, 10**9, 2000).tolist())
+
+    def test_around_powers_of_two(self):
+        self.assert_matches_scipy([2**k + d for k in range(1, 41) for d in (-1, 0, 1)])
+
+    @pytest.mark.parametrize(
+        "n, factors",
+        [(65_488, (130_977, 1)), (65_489, (375, 363)), (3_999_997, (2880, 2835))],
+    )
+    def test_factor_on_both_sides_of_the_split(self, n, factors):
+        assert _factor(n) == factors
+
+
 class TestSplitTransform:
     """Series long enough for the four-step transform (n2 > 1 columns)."""
 
@@ -260,13 +287,13 @@ class TestSplitTransform:
         # The lags are even, so the columns past n2//2 are mirrors, not transforms.
         n1, n2 = _factor(n)
         counted = []
-        irfft = scipy.fft.irfft
+        irfft = np.fft.irfft
 
         def counting(columns, *args, **kwargs):
             counted.append(columns.shape[0])
             return irfft(columns, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, "irfft", counting)
+        monkeypatch.setattr(np.fft, "irfft", counting)
         autocorrelation(validate_series(noisy_sine(n, 0)))
         assert sum(counted) == n2 // 2 + 1
 

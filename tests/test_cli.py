@@ -550,6 +550,17 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: ValueError: {manifest}:2: want an object")
 
+    def test_worker_error_prints_its_message_once(self, tmp_path, capsys):
+        # A worker's error reaches the parent pickled; two entries, so the pool runs.
+        values = 1e307 * np.sin(2 * np.pi * np.arange(2000) / 50)
+        (tmp_path / "huge.csv").write_text("\n".join(map(repr, values.tolist())) + "\n")
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(
+            json.dumps({"path": "huge.csv", "reference": 50, "family": "Sine", "case": case}) + "\n"
+            for case in "ab"))
+        assert main(["eval", str(manifest), "--jobs", "2"]) == 2
+        assert capsys.readouterr().err == "error: NonFiniteError: non-finite value at index 0\n"
+
     @pytest.mark.parametrize("margin", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_margin_must_be_finite_and_not_negative(self, suite, tmp_path, capsys, margin, jobs):
