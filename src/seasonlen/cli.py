@@ -81,6 +81,9 @@ def _score(detected: float | None, reference: object, margin: float) -> tuple[fl
 #: A cell that starts like a number; in the first row it is data, not a header.
 _NUMBER_START = re.compile(r"\s*[+-]?(\d|\.\d)")
 
+#: Suffixes by which numpy.loadtxt, given a path, opens the file through a decompressor.
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
 
 def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float = 1.0):
     """Read one numeric column from a CSV file.
@@ -93,13 +96,17 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
     ignored, and a parse error names the file's physical line number.
     The delimiter must be one character other than a line break.
 
-    numpy.loadtxt parses the column. Where it rejects the data, a
-    csv-module reader reads on from the end of the header instead: it
-    reports the line-numbered error, or accepts the cells that float()
-    takes and loadtxt does not (such as 1_0, or lines ending in a bare
-    carriage return). Files with a quote character after the header
-    always take the csv-module reader, since a quoted delimiter would
-    shift loadtxt's columns.
+    numpy.loadtxt parses the column, given the file's path and the
+    count of lines to skip: from a path it reads the file in chunks,
+    with universal newlines, where from a text buffer it would take it
+    one line at a time. Where it rejects the data, a csv-module reader
+    reads on from the end of the header instead, giving bit-identical
+    values: it reports the line-numbered error, or accepts the cells
+    that float() takes and loadtxt does not (such as 1_0). Files with a
+    quote character after the header always take the csv-module reader,
+    since a quoted delimiter would shift loadtxt's columns, and so do
+    files named like a compressed file (.gz, .bz2, .xz, .lzma), which
+    loadtxt would try to decompress.
     """
     if len(delimiter) != 1 or delimiter in "\r\n":
         raise ValueError(
@@ -133,14 +140,13 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
 
     start = buffer.tell() if header_lines else 0
     values = None
-    if text.find('"', start) < 0:
-        buffer.seek(start)
+    if text.find('"', start) < 0 and path.suffix not in _COMPRESSED_SUFFIXES:
         try:
             with warnings.catch_warnings():
                 # A header-only file: the empty result fails validation below.
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                values = np.loadtxt(buffer, delimiter=delimiter, usecols=index, comments=None,
-                                    ndmin=1, dtype=np.float64)
+                values = np.loadtxt(str(path), delimiter=delimiter, skiprows=header_lines,
+                                    usecols=index, comments=None, ndmin=1, dtype=np.float64)
         except ValueError:
             pass
     if values is None:
@@ -259,6 +265,31 @@ def _evaluate_case(entry: dict, base: str, margin: float, config: DetectionConfi
     )
 
 
+def _evaluate_share(evaluate, entries: list[dict]) -> tuple[list[EvalRecord], Exception | None]:
+    """Evaluate entries in order, up to the first that raises.
+
+    Returns the records of the entries before it and its exception, or
+    every record and None. The exception is returned, not raised, so
+    that the parent can raise the one of the lowest manifest index, the
+    one a serial run stops at.
+    """
+    records = []
+    for entry in entries:
+        try:
+            records.append(evaluate(entry))
+        except Exception as exc:  # re-raised by evaluate_manifest
+            return records, exc
+    return records, None
+
+
+def _file_size(path: Path) -> int:
+    """The file's size in bytes, or 0 where it cannot be read; evaluating it reports why."""
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
+
+
 def evaluate_manifest(
     manifest_path,
     margin: float = 0.2,
@@ -267,8 +298,13 @@ def evaluate_manifest(
 ) -> tuple[list[EvalRecord], dict]:
     """Score every case referenced by a manifest.
 
-    Cases may be evaluated in parallel; records come back sorted by
-    case id, so serial and parallel runs produce identical output.
+    With jobs > 1, the cases are evaluated by at most one worker process
+    per entry, each taking one share of the entries: sorted by file
+    size, largest first, and dealt round-robin, so the shares hold
+    about the same number of values. Each share stops at its first
+    failure, and the failure of the lowest manifest index is raised,
+    the one a serial run raises. Records come back sorted by case id,
+    so serial and parallel runs produce identical output.
 
     Raises:
         ValueError: the margin is not a finite number >= 0, jobs is not
@@ -299,9 +335,20 @@ def evaluate_manifest(
 
     evaluate = partial(_evaluate_case, base=str(manifest_path.parent), margin=margin,
                        config=DetectionConfig() if config is None else config)
-    if jobs > 1 and len(entries) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(evaluate, entries))
+    workers = min(jobs, len(entries))
+    if workers > 1:
+        sizes = [_file_size(manifest_path.parent / entry["path"]) for entry in entries]
+        largest_first = sorted(range(len(entries)), key=lambda i: -sizes[i])
+        shares = [sorted(largest_first[k::workers]) for k in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_evaluate_share, evaluate, [entries[i] for i in share])
+                       for share in shares]
+            outcomes = [future.result() for future in futures]
+        failures = [(share[len(done)], exc) for share, (done, exc) in zip(shares, outcomes)
+                    if exc is not None]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        records = [record for done, _ in outcomes for record in done]
     else:
         records = list(map(evaluate, entries))
     records.sort(key=lambda r: r.case)

@@ -6,12 +6,14 @@ import io
 import json
 import math
 import re
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import seasonlen.cli
 from seasonlen.cli import (
     EvalRecord,
     _config_from_args,
@@ -153,6 +155,54 @@ class TestReadSeriesCsv:
         path = tmp_path / "odd.csv"
         path.write_bytes(text.encode())
         assert read_series_csv(path, column=column).values.tolist() == expected
+
+    @pytest.mark.parametrize("name", ["series.csv.gz", "series.bz2", "series.xz", "series.lzma"])
+    def test_plain_text_named_like_a_compressed_file(self, tmp_path, name):
+        # Given a path, loadtxt picks a decompressor by the file's suffix.
+        path = tmp_path / name
+        path.write_text("value\n1\n2\n3\n4\n")
+        assert read_series_csv(path).values.tolist() == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize(
+        "head, column",
+        [([], "0"), (["value"], "0"), (["", "", "value", "", ""], "0"), (["time,load,flag"], "load")],
+        ids=["no-header", "header", "blank-lines-around-header", "named-column-of-three"],
+    )
+    def test_loadtxt_values_are_those_of_the_csv_module(self, tmp_path, monkeypatch,
+                                                        loadtxt_files, end, head, column):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)
+        rows = [f"{i},{v!r},{i % 2}" if column == "load" else repr(v)
+                for i, v in enumerate(values.tolist())]
+        path = tmp_path / "series.csv"
+        path.write_bytes(end.join(head + rows + [""]).encode())
+        parsed = read_series_csv(path, column=column).values
+        # loadtxt parsed the file from its path, which it reads in chunks; from
+        # a file object or a buffer it would parse it one line at a time.
+        assert loadtxt_files == [str]
+
+        def rejecting(*args, **kwargs):
+            raise ValueError("rejected")
+
+        monkeypatch.setattr(np, "loadtxt", rejecting)
+        fallback = read_series_csv(path, column=column).values
+        assert parsed.tobytes() == fallback.tobytes() == values.tobytes()
+
+
+@pytest.fixture
+def loadtxt_files(monkeypatch):
+    """The type of the file argument of each np.loadtxt call that returned."""
+    types = []
+    loadtxt = np.loadtxt
+
+    def recording(fname, *args, **kwargs):
+        values = loadtxt(fname, *args, **kwargs)
+        types.append(type(fname))
+        return values
+
+    monkeypatch.setattr(np, "loadtxt", recording)
+    return types
 
 
 PADDING = st.sampled_from(["", " ", "\t"])
@@ -463,6 +513,39 @@ def test_more_seeds_keep_golden_detections(tmp_path, seed):
             assert detected[case] == pytest.approx(expected, rel=1e-9), case
 
 
+class InlineExecutor:
+    """Stands in for ProcessPoolExecutor: runs each task when it is submitted."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.tasks = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        self.tasks.append((fn, args))
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Every InlineExecutor that evaluate_manifest creates in place of a process pool."""
+    pools = []
+
+    def executor(max_workers):
+        pools.append(InlineExecutor(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(seasonlen.cli, "ProcessPoolExecutor", executor)
+    return pools
+
+
 @pytest.fixture(scope="module")
 def suite(tmp_path_factory):
     out = tmp_path_factory.mktemp("suite")
@@ -490,6 +573,38 @@ class TestEvalCommand:
         serial, _ = evaluate_manifest(suite, margin=0.2, jobs=1)
         parallel, _ = evaluate_manifest(suite, margin=0.2, jobs=2)
         assert serial == parallel
+
+    def test_parallel_matches_serial_on_every_family(self, tmp_path):
+        manifest = generate_suite("all", 7, tmp_path)
+        assert evaluate_manifest(manifest, jobs=2) == evaluate_manifest(manifest, jobs=1)
+
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_one_share_per_worker(self, suite, inline_pools, jobs):
+        assert evaluate_manifest(suite, jobs=jobs) == evaluate_manifest(suite, jobs=1)
+        [pool] = inline_pools
+        entries = [json.loads(line) for line in suite.read_text().splitlines()]
+        shares = [args[1] for _, args in pool.tasks]
+        assert pool.max_workers == len(shares) == min(jobs, len(entries))
+        assert max(map(len, shares)) - min(map(len, shares)) <= 1
+        # Every entry once, in manifest order within its share; dealt largest
+        # first, the shares' bytes differ by at most the largest file's.
+        assert sorted(entry["case"] for share in shares for entry in share) == sorted(
+            entry["case"] for entry in entries)
+        for share in shares:
+            assert share == sorted(share, key=entries.index)
+        size = {entry["case"]: (suite.parent / entry["path"]).stat().st_size for entry in entries}
+        totals = [sum(size[entry["case"]] for entry in share) for share in shares]
+        assert max(totals) - min(totals) <= max(size.values())
+
+    def test_never_more_workers_than_entries(self, noise_csv, tmp_path, inline_pools):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(
+            json.dumps({"path": noise_csv, "reference": 250, "family": "Noise", "case": case}) + "\n"
+            for case in "ab"))
+        records, _ = evaluate_manifest(manifest, jobs=3)
+        assert [record.case for record in records] == ["a", "b"]
+        [pool] = inline_pools
+        assert pool.max_workers == len(pool.tasks) == 2
 
     def test_margin_zero_keeps_exact_and_no_season_passes(self, suite):
         records, _ = evaluate_manifest(suite, margin=0.0)
@@ -560,6 +675,23 @@ class TestEvalCommand:
             for case in "ab"))
         assert main(["eval", str(manifest), "--jobs", "2"]) == 2
         assert capsys.readouterr().err == "error: NonFiniteError: non-finite value at index 0\n"
+
+    @pytest.mark.parametrize("huge_first", [True, False], ids=["overflow-first", "missing-first"])
+    def test_parallel_run_reports_the_error_a_serial_run_does(self, tmp_path, capsys, huge_first):
+        values = 1e307 * np.sin(2 * np.pi * np.arange(2000) / 50)
+        (tmp_path / "huge.csv").write_text("\n".join(map(repr, values.tolist())) + "\n")
+        paths = ["huge.csv", "missing.csv"] if huge_first else ["missing.csv", "huge.csv"]
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(
+            json.dumps({"path": path, "reference": 50, "family": "Sine", "case": path}) + "\n"
+            for path in paths))
+        errors = []
+        for jobs in ("1", "2"):
+            assert main(["eval", str(manifest), "--jobs", jobs]) == 2
+            errors.append(capsys.readouterr().err)
+        expected = ("error: NonFiniteError: " if huge_first else "error: FileNotFoundError: ")
+        assert errors[0] == errors[1] and errors[0].startswith(expected)
+        assert errors[0].count("\n") == 1
 
     @pytest.mark.parametrize("margin", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("jobs", ["1", "2"])
