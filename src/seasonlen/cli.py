@@ -94,7 +94,9 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
     one (a digit, or a sign or point before one), which is a parse error
     on that line. Blank lines are
     ignored, and a parse error names the file's physical line number.
-    The delimiter must be one character other than a line break.
+    The delimiter must be one character other than a line break. A
+    leading byte-order mark, as Excel writes, is not part of the first
+    cell; such a file without a header takes the csv-module reader.
 
     numpy.loadtxt parses the column, given the file's path and the
     count of lines to skip: from a path it reads the file in chunks,
@@ -114,7 +116,7 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
         )
     path = Path(path)
     with path.open(newline="") as handle:
-        text = handle.read()
+        text = handle.read().removeprefix("\ufeff")
     buffer = io.StringIO(text, newline="")
     rows = csv.reader(buffer, delimiter=delimiter)
     first = next((row for row in rows if row), None)
@@ -308,13 +310,13 @@ def evaluate_manifest(
 
     Raises:
         ValueError: the margin is not a finite number >= 0, jobs is not
-            an integer >= 1, or a line is not JSON, or not an entry as
-            _is_entry says.
+            an integer >= 1 (a bool is not), or a line is not JSON, or
+            not an entry as _is_entry says.
     """
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be a finite number >= 0, got {margin}")
-    if not (isinstance(jobs, int) and jobs >= 1):
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs}")
+    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     manifest_path = Path(manifest_path)
     entries = []
     with manifest_path.open() as handle:

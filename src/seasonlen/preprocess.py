@@ -16,10 +16,9 @@ state each row starts from is carried over from the rows before it.
 Rows are cut short enough that |p|**-row stays within 2**10; the
 scaling is centred on each row, so it costs about 2**5 of float range.
 
-Upsampling and both passes stream through the one output array in
-cache-sized blocks, carrying each section's state between blocks, so
-only a block or two is held beside it, and every value is bit for bit
-that of one call of the scan over the whole array per pass.
+Smoothing upsamples into one output array, then runs each section over
+all of it once forward and once backward; the scan works through it a
+cache-sized block at a time, so only that block's rows sit beside it.
 """
 
 from __future__ import annotations
@@ -200,30 +199,29 @@ def apply_filter(series: TimeSeries, spec: FilterSpec) -> TimeSeries:
     return TimeSeries(_smooth(series.values, 1, spec), series.delta)
 
 
-#: Upsampled values per block of the streamed passes: 256 KiB, within L2.
+#: Values per block of the upsampling and of the scan: 256 KiB, within L2.
 _BLOCK = 1 << 15
 
 #: Carry factor below which a row's state no longer reaches later rows.
 _NEGLIGIBLE = 2.0**-64
 
 
-def _scan(u: np.ndarray, carry, mode: FilterMode, work: np.ndarray):
+def _scan(u: np.ndarray, carry, mode: FilterMode):
     """Run one section over u in place, from state carry; return the state after u.
 
-    u is taken _BLOCK values at a time from its start, so a pass cut
-    into calls at multiples of _BLOCK gives every value bit for bit as
-    one call over the whole pass; work is a complex array with room for
-    one chunk and _ROW values more. A chunk's rows are scanned at once;
-    the state each row starts from is its predecessor's carried on by
-    hop = p**row, summed over rows by recursive doubling, which stops
-    once hop**k falls below _NEGLIGIBLE.
+    u is taken _BLOCK values at a time from its start, and each block's
+    rows are scanned at once in one work array; the state each row
+    starts from is its predecessor's carried on by hop = p**row, summed
+    over rows by recursive doubling, which stops once hop**k falls below
+    _NEGLIGIBLE.
     """
     row = mode.row
+    work = np.empty(-(-min(u.size, _BLOCK) // row) * row, mode.up.dtype)
     for start in range(0, u.size, _BLOCK):
         chunk = u[start:start + _BLOCK]
         n = chunk.size
         full = n - n % row
-        rows = work.view(mode.up.dtype)[:-(-n // row) * row].reshape(-1, row)
+        rows = work[:-(-n // row) * row].reshape(-1, row)
         np.multiply(chunk[:full].reshape(-1, row), mode.up, out=rows[:full // row])
         if full < n:
             np.multiply(chunk[full:], mode.up[:n - full], out=rows[-1, :n - full])
@@ -249,32 +247,30 @@ def _scan(u: np.ndarray, carry, mode: FilterMode, work: np.ndarray):
 def _smooth(x: np.ndarray, factor: int, spec: FilterSpec | None = None) -> np.ndarray:
     """x upsampled by factor into a new array, then filtered by spec unless it is None.
 
-    Each block of _BLOCK // factor raw intervals is interpolated and
-    centred on x[0], whose steady state is then zero. The forward pass
-    follows the upsampling: each section runs, from rest, over every
-    whole _BLOCK of values from the start that is ready. The backward
-    pass walks _BLOCK values at a time from the end, from the steady
-    state of the last forward value, and adds x[0] back.
+    The upsampling fills _BLOCK // factor raw intervals at a time; to
+    filter, each block is centred on x[0], whose steady state is then
+    zero. Each section runs forward over the whole array from rest, then
+    backward from the steady state of the last forward value, and x[0]
+    is added back.
 
     Raises:
-        ValueError: the output would be longer than numpy can index.
+        ValueError: the output would be longer than numpy can index or
+            than can be allocated.
         TooShortError: fewer than 6*order+1 values to filter.
     """
     factor, n = int(factor), x.size
     length = factor * (n - 1) + 1
+    upsampled = f"interp_factor {factor} upsamples {n} values to {length}"
     if length > _MAX_VALUES:
-        raise ValueError(
-            f"interp_factor {factor} upsamples {n} values to {length}, more than numpy can index"
-        )
+        raise ValueError(f"{upsampled}, more than numpy can index")
     if spec is not None and length <= 6 * spec.order:
         raise TooShortError(
             f"filter of order {spec.order} needs more than {6 * spec.order} samples, got {length}"
         )
-    out = np.empty(length)
-    if spec is not None:
-        modes = spec.modes
-        work = np.empty(min(length, _BLOCK) + _ROW, complex)
-        state, done = [0.0] * len(modes), 0
+    try:
+        out = np.empty(length)
+    except MemoryError:
+        raise ValueError(f"{upsampled}, more than can be allocated") from None
     per = max(1, _BLOCK // factor)
     for lo in range(0, n - 1, per):
         hi = min(lo + per, n - 1)  # raw intervals lo:hi; the last block also holds x[-1]
@@ -287,17 +283,13 @@ def _smooth(x: np.ndarray, factor: int, spec: FilterSpec | None = None) -> np.nd
             inserted += x[lo:hi]
         if spec is not None:
             block -= x[0]
-            ready = length if hi == n - 1 else hi * factor // _BLOCK * _BLOCK
-            for k, mode in enumerate(modes):
-                state[k] = _scan(out[done:ready], state[k], mode, work)
-            done = ready
     if spec is not None:
-        state = [mode.steady * out[-1] for mode in modes]
-        for end in range(length, 1, -_BLOCK):  # a lone first value rides with the next chunk
-            chunk = out[end - _BLOCK if end > _BLOCK + 1 else 0:end]
-            for k, mode in enumerate(modes):
-                state[k] = _scan(chunk[::-1], state[k], mode, work)
-            chunk += x[0]
+        for mode in spec.modes:
+            _scan(out, 0.0, mode)
+        last = out[-1]
+        for mode in spec.modes:
+            _scan(out[::-1], mode.steady * last, mode)
+        out += x[0]
     return out
 
 

@@ -78,6 +78,18 @@ class TestReadSeriesCsv:
         series = read_series_csv(path, column="load")
         assert np.array_equal(series.values, [5, 6, 7, 8])
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [("1.5\n2.5\n3.5\n4.5\n5.5\n", "0"), ("value\n1.5\n2.5\n3.5\n4.5\n5.5\n", "0"),
+         ("value,other\n1.5,0\n2.5,0\n3.5,0\n4.5,0\n5.5,0\n", "value")],
+        ids=["no-header", "header", "column-by-name"],
+    )
+    def test_byte_order_mark_is_not_part_of_the_first_cell(self, tmp_path, text, column):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF.
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_series_csv(path, column=column).values.tolist() == [1.5, 2.5, 3.5, 4.5, 5.5]
+
     def test_column_by_index_and_delimiter(self, tmp_path):
         path = tmp_path / "semi.csv"
         path.write_text("0;5.0\n1;6.0\n2;7.0\n3;8.0\n")
@@ -369,6 +381,16 @@ class TestDetectCommand:
         assert capsys.readouterr().err == (
             f"error: ValueError: {name} must be an integer >= 1, got -10000000000..."
             " (402 characters)\n"
+        )
+
+    def test_unallocatable_upsampling_prints_one_error_line(self, tmp_path, capsys):
+        # 1,999 * 10**14 + 1 values, 1.4 EiB: past any address space.
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 24, 2000)
+        assert main(["detect", "--input", str(path), "--interp-factor", str(10**14)]) == 2
+        assert capsys.readouterr().err == (
+            "error: ValueError: interp_factor 100000000000000 upsamples 2000 values to"
+            " 199900000000000001, more than can be allocated\n"
         )
 
     def test_overflow_inside_detection_prints_one_error_line(self, tmp_path, capsys):
@@ -715,6 +737,19 @@ class TestEvalCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: ValueError: jobs must be an integer >= 1, got {jobs}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [True, np.bool_(True), 2.0, "2", np.int64(0)],
+                             ids=["bool", "numpy-bool", "float", "str", "numpy-zero"])
+    def test_jobs_must_be_an_integer_and_not_a_bool(self, suite, jobs):
+        message = f"jobs must be an integer >= 1, got {jobs!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_manifest(suite, jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [np.int64(1), np.int64(2), np.int32(3)],
+                             ids=["int64-1", "int64-2", "int32-3"])
+    def test_numpy_integer_jobs_count_as_their_value(self, suite, inline_pools, jobs):
+        assert evaluate_manifest(suite, jobs=jobs) == evaluate_manifest(suite, jobs=1)
+        assert [pool.max_workers for pool in inline_pools] == ([int(jobs)] if jobs > 1 else [])
 
     def test_unwritable_records_path_exits_2(self, suite, tmp_path, capsys):
         out = tmp_path / "missing" / "records.jsonl"

@@ -133,6 +133,12 @@ class TestDetectSeasonLength:
         with pytest.raises(ValueError, match="interp_factor .* more than numpy can index"):
             detect_season_length(validate_series([1.0, 2.0, 0.0, 1.0, 2.0]), config)
 
+    def test_unallocatable_interp_factor_is_a_value_error(self):
+        # 1,999 * 10**14 + 1 values can be indexed, but 1.4 EiB lies past any address space.
+        config = DetectionConfig(interp_factor=10**14)
+        with pytest.raises(ValueError, match="to 199900000000000001, more than can be allocated"):
+            detect_season_length(sine_series(24, 2000), config)
+
     def test_whole_float_interp_factor_detects_as_the_integer(self):
         # 4.0 passes validation as a whole number; the upsampled length
         # is computed as an int, so it no longer ends in a TypeError.

@@ -11,7 +11,6 @@ from seasonlen import preprocess
 from seasonlen.core import TimeSeries, TooShortError, validate_series
 from seasonlen.preprocess import (
     _BLOCK,
-    _ROW,
     _scan,
     _smooth,
     apply_filter,
@@ -170,14 +169,14 @@ class TestButterworthDesign:
             assert np.abs(magnitude_response(spec, omegas) - np.abs(want)).max() < 1e-9
 
     def test_start_state_is_the_steady_state(self):
-        spec, work = design_butterworth_lowpass(4, 0.05 * math.pi), np.empty(_BLOCK + _ROW, complex)
+        spec = design_butterworth_lowpass(4, 0.05 * math.pi)
         for mode in spec.modes:
             # From rest, a unit step's state settles on steady = c / (1 - p) ...
-            settled = _scan(np.ones(5_000), 0.0, mode, work)
+            settled = _scan(np.ones(5_000), 0.0, mode)
             assert abs(settled - mode.steady) < 1e-12 * abs(mode.steady)
             # ... and a step started from it stays at 1: no start-up transient.
             out = np.ones(200)
-            _scan(out, mode.steady, mode, work)
+            _scan(out, mode.steady, mode)
             assert np.abs(out - 1.0).max() < 1e-12
 
     @given(
@@ -215,12 +214,11 @@ def modal_recurrence(u, carry, p, c, d):
 def whole_array_run(values, spec):
     """The filter as one call of the modal kernel per section and pass."""
     y = values - values[0]
-    work = np.empty(_BLOCK + _ROW, complex)
     for mode in spec.modes:
-        _scan(y, 0.0, mode, work)
+        _scan(y, 0.0, mode)
     last = y[-1]
     for mode in spec.modes:
-        _scan(y[::-1], mode.steady * last, mode, work)
+        _scan(y[::-1], mode.steady * last, mode)
     return y + values[0]
 
 
@@ -275,7 +273,7 @@ class TestApplyFilter:
             carry = mode.steady * 0.5
             want, after = modal_recurrence(u, carry, mode.pole, mode.residue, mode.direct)
             got = u.copy()
-            state = _scan(got, carry, mode, np.empty(_BLOCK + _ROW, complex))
+            state = _scan(got, carry, mode)
             scale = np.abs(want).max()
             assert np.abs(got - want).max() < 1e-12 * scale, mode.row
             assert abs(state - after) < 1e-12 * max(abs(after), scale), mode.row
@@ -288,18 +286,24 @@ class TestApplyFilter:
         spec = design_butterworth_lowpass(2, 0.001 * math.pi)
         assert np.array_equal(_smooth(x * 2.0**k, 4, spec), _smooth(x, 4, spec) * 2.0**k)
 
-    @pytest.mark.parametrize("intervals, calls", [(2, 2), (_BLOCK // 4, 2), (_BLOCK // 4 + 1, 4)])
-    def test_one_call_per_pass_and_block(self, monkeypatch, intervals, calls):
-        # At most one block: exactly one forward and one backward scan.
-        scan, lengths = preprocess._scan, []
+    @pytest.mark.parametrize("intervals", [7, _BLOCK // 4 - 1, _BLOCK // 4, _BLOCK // 4 + 1])
+    def test_one_whole_buffer_call_per_section_and_pass(self, monkeypatch, intervals):
+        # Below, at and past one _BLOCK of upsampled values: each section
+        # runs once forward over the whole buffer, then once backward.
+        scan, calls = preprocess._scan, []
 
-        def counted(u, carry, mode, work):
-            lengths.append(u.size)
-            return scan(u, carry, mode, work)
+        def counted(u, carry, mode):
+            calls.append((id(mode), u.size, u.strides[0]))
+            return scan(u, carry, mode)
 
         monkeypatch.setattr(preprocess, "_scan", counted)
-        _smooth(np.arange(intervals + 1.0), 4, design_butterworth_lowpass(1, 0.05 * math.pi))
-        assert len(lengths) == calls and sum(lengths) == 2 * (4 * intervals + 1)
+        length = 4 * intervals + 1
+        for order in (1, 2, 4):
+            spec, calls[:] = design_butterworth_lowpass(order, 0.05 * math.pi), []
+            _smooth(np.arange(intervals + 1.0), 4, spec)
+            sections = [id(mode) for mode in spec.modes]
+            want = [(k, length, 8) for k in sections] + [(k, length, -8) for k in sections]
+            assert calls == want, order
 
     def test_constant_passthrough(self):
         spec = design_butterworth_lowpass(2, 0.05 * math.pi)
