@@ -9,15 +9,18 @@ lines, and prints a summary table with per-family pass counts.
 
 Exit codes: 0 when the run completed (a no-season result and a low
 pass rate are data, not errors), 2 on usage, input, or validation
-problems. Every command reports a DetectionError, OSError or ValueError
+problems, such as a row the csv module cannot read, a column index past
+the row, or a --delta that scales the season length past the float
+range. Every command reports a DetectionError, OSError or ValueError
 as one line, "error: <type>: <message>", on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import itertools
 import json
 import math
 import re
@@ -78,11 +81,20 @@ def _score(detected: float | None, reference: object, margin: float) -> tuple[fl
     return error, error <= margin
 
 
-#: A cell that starts like a number; in the first row it is data, not a header.
-_NUMBER_START = re.compile(r"\s*[+-]?(\d|\.\d)")
+#: A first-row cell that float() reads, or that starts like a number: data, not a header.
+_NUMBER_START = re.compile(r"\s*[+-]?(\d|\.\d|(inf|infinity|nan)\s*$)", re.IGNORECASE)
 
 #: Suffixes by which numpy.loadtxt, given a path, opens the file through a decompressor.
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _csv_rows(path: Path, handle, delimiter: str):
+    """Yield (physical line, cells) per non-blank row; a csv.Error becomes a ValueError."""
+    reader = csv.reader(handle, delimiter=delimiter)
+    try:
+        yield from ((reader.line_num, row) for row in reader if row)
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float = 1.0):
@@ -92,23 +104,19 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
     header row is detected automatically: if the first row's selected
     cell does not parse as a number it is skipped, unless it starts like
     one (a digit, or a sign or point before one), which is a parse error
-    on that line. Blank lines are
-    ignored, and a parse error names the file's physical line number.
-    The delimiter must be one character other than a line break. A
-    leading byte-order mark, as Excel writes, is not part of the first
-    cell; such a file without a header takes the csv-module reader.
+    on that line. Blank lines are ignored, and a parse error names the
+    file's physical line number. The delimiter must be one character
+    other than a line break. A leading byte-order mark, as Excel writes,
+    is not part of the first cell.
 
-    numpy.loadtxt parses the column, given the file's path and the
-    count of lines to skip: from a path it reads the file in chunks,
-    with universal newlines, where from a text buffer it would take it
-    one line at a time. Where it rejects the data, a csv-module reader
-    reads on from the end of the header instead, giving bit-identical
-    values: it reports the line-numbered error, or accepts the cells
-    that float() takes and loadtxt does not (such as 1_0). Files with a
-    quote character after the header always take the csv-module reader,
-    since a quoted delimiter would shift loadtxt's columns, and so do
-    files named like a compressed file (.gz, .bz2, .xz, .lzma), which
-    loadtxt would try to decompress.
+    A csv-module reader over the open file reads as far as the header.
+    numpy.loadtxt then parses the column from the file's path, in chunks
+    and with universal newlines, taking '"' as the csv module's quote.
+    Where it rejects the data, or the file is named like a compressed
+    one (.gz, .bz2, .xz, .lzma) that loadtxt would try to decompress,
+    the csv-module reader reads on from the header instead, giving
+    bit-identical values: it reports the line-numbered error, or accepts
+    the cells that float() takes and loadtxt does not (such as 1_0).
     """
     if len(delimiter) != 1 or delimiter in "\r\n":
         raise ValueError(
@@ -116,52 +124,40 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
         )
     path = Path(path)
     with path.open(newline="") as handle:
-        text = handle.read().removeprefix("\ufeff")
-    buffer = io.StringIO(text, newline="")
-    rows = csv.reader(buffer, delimiter=delimiter)
-    first = next((row for row in rows if row), None)
-    if first is None:
-        raise ValueError(f"{path}: file contains no data")
+        if handle.read(1) != "\ufeff":
+            handle.seek(0)
+        rows = _csv_rows(path, handle, delimiter)
+        first_line, first = next(rows, (0, None))
+        if first is None:
+            raise ValueError(f"{path}: file contains no data")
+        index: int | None = int(column) if column.lstrip("-").isdigit() else None
+        header_lines = first_line
+        if index is None:
+            header = [cell.strip() for cell in first]
+            if column not in header:
+                raise ValueError(f"{path}: no column named {column!r} in header {header}")
+            index = header.index(column)
+        elif -len(first) <= index < len(first) and _NUMBER_START.match(first[index]):
+            header_lines = 0  # a number, or a malformed one that the data parse reports
 
-    index: int | None = int(column) if column.lstrip("-").isdigit() else None
-    header_lines = rows.line_num
-    if index is None:
-        header = [cell.strip() for cell in first]
-        if column not in header:
-            raise ValueError(f"{path}: no column named {column!r} in header {header}")
-        index = header.index(column)
-    else:
-        try:
-            float(first[index])
-            header_lines = 0
-        except IndexError:
-            pass
-        except ValueError:
-            if _NUMBER_START.match(first[index]):
-                header_lines = 0  # a malformed number: the data parse reports it
-
-    start = buffer.tell() if header_lines else 0
-    values = None
-    if text.find('"', start) < 0 and path.suffix not in _COMPRESSED_SUFFIXES:
-        try:
-            with warnings.catch_warnings():
+        values = None
+        if path.suffix not in _COMPRESSED_SUFFIXES:
+            # TypeError: a '"' delimiter; OverflowError: a column index past any index.
+            with (contextlib.suppress(ValueError, TypeError, OverflowError),
+                  warnings.catch_warnings()):
                 # A header-only file: the empty result fails validation below.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 values = np.loadtxt(str(path), delimiter=delimiter, skiprows=header_lines,
-                                    usecols=index, comments=None, ndmin=1, dtype=np.float64)
-        except ValueError:
-            pass
-    if values is None:
-        buffer.seek(start)
-        rows = csv.reader(buffer, delimiter=delimiter)
-        values = []
-        for row in filter(None, rows):
-            try:
-                values.append(float(row[index]))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(
-                    f"{path}:{header_lines + rows.line_num}: cannot read column {column!r}: {exc}"
-                ) from exc
+                                    usecols=index, comments=None, quotechar='"', ndmin=1)
+        if values is None:
+            values = []
+            for line, row in itertools.chain([] if header_lines else [(first_line, first)], rows):
+                try:
+                    values.append(float(row[index]))
+                except (ValueError, IndexError) as exc:
+                    raise ValueError(
+                        f"{path}:{line}: cannot read column {column!r}: {exc}"
+                    ) from exc
     return validate_series(values, delta)
 
 
@@ -197,7 +193,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
         "zeros": diag.zero_count,
         "interval_size": diag.member_count,
     }
-    print(json.dumps(payload))
+    try:
+        print(json.dumps(payload, allow_nan=False))
+    except ValueError:  # only the season length can be infinite
+        raise ValueError(f"--delta {args.delta!r} scales the season length past the float range")
     return 0
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from seasonlen.cli import (
     main,
     read_series_csv,
 )
-from seasonlen.core import TooShortError
+from seasonlen.core import NonFiniteError, TooShortError
 
 
 def write_sine_csv(path, period, n, header=True):
@@ -201,6 +202,64 @@ class TestReadSeriesCsv:
         fallback = read_series_csv(path, column=column).values
         assert parsed.tobytes() == fallback.tobytes() == values.tobytes()
 
+    @pytest.mark.parametrize(
+        "text, column, delimiter",
+        [
+            ('value\n"1.5"\n" 2.5"\n"3.5" \n"4.5"\n', "0", ","),
+            ('"a,b",1.5\n"c,d",2.5\n"e,f",3.5\n"g,h",4.5\n', "1", ","),
+            ('"time;of;day";"load"\n0;1.5\n1;2.5\n2;3.5\n3;4.5\n', "load", ";"),
+            ('"two\nline header"\n1.5\n2.5\n3.5\n4.5\n', "0", ","),
+            ('0"1.5\n1"2.5\n2"3.5\n3"4.5\n', "1", '"'),
+        ],
+        ids=["quoted-numbers", "quoted-delimiter", "quoted-header", "quoted-line-break",
+             "quote-delimiter"],
+    )
+    def test_quoted_files_take_loadtxt(self, tmp_path, loadtxt_files, text, column, delimiter):
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(text.encode())
+        values = read_series_csv(path, column=column, delimiter=delimiter).values
+        assert values.tolist() == [1.5, 2.5, 3.5, 4.5]
+        # loadtxt cannot take '"' as both delimiter and quote; the csv module reads that file.
+        assert loadtxt_files == ([] if delimiter == '"' else [str])
+
+    @pytest.mark.parametrize("cell", ["inf", " -Infinity", "NaN"])
+    def test_first_cell_that_float_reads_as_infinite_or_nan_is_data(self, tmp_path, cell):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"{cell}\n1\n2\n3\n4\n")
+        with pytest.raises(NonFiniteError, match="non-finite value at index 0"):
+            read_series_csv(path)
+
+    def test_csv_module_error_in_the_header_names_its_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("\n" + "v" * 200_000 + "\n1\n2\n3\n4\n")
+        message = f"{path}:2: field larger than field limit (131072)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_series_csv(path)
+
+    def test_csv_module_error_in_a_data_row_names_its_line(self, tmp_path):
+        # The quote opened on line 4 never closes, so the cell runs on over
+        # every later line until it passes the csv module's field size limit.
+        path = tmp_path / "unclosed.csv"
+        path.write_text('value\n1\n2\n"3\n' + "4\n" * 70_000)
+        message = f"{path}:{4 + 131072 // 2}: field larger than field limit (131072)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_series_csv(path)
+
+    def test_peak_memory_is_a_few_times_the_values(self, tmp_path):
+        values = np.random.default_rng(2).standard_normal(200_000)
+        path = tmp_path / "long.csv"
+        path.write_text("value\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+        read_series_csv(path)  # so that one-time allocations are not counted
+        tracemalloc.start()
+        try:
+            parsed = read_series_csv(path).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.tobytes() == values.tobytes()
+        # The parsed column and the series' own copy of it; the text is never held whole.
+        assert peak < 3 * values.nbytes
+
 
 @pytest.fixture
 def loadtxt_files(monkeypatch):
@@ -218,8 +277,9 @@ def loadtxt_files(monkeypatch):
 
 
 PADDING = st.sampled_from(["", " ", "\t"])
-CELL = st.builds(lambda pre, value, post: pre + repr(value) + post,
-                 PADDING, st.floats(allow_nan=False, allow_infinity=False), PADDING)
+PLAIN_CELL = st.builds(lambda pre, value, post: pre + repr(value) + post,
+                       PADDING, st.floats(allow_nan=False, allow_infinity=False), PADDING)
+CELL = st.one_of(PLAIN_CELL, PLAIN_CELL.map(lambda cell: f'"{cell}"'))
 
 
 @st.composite
@@ -230,6 +290,9 @@ def csv_files(draw, bad_cell):
     index = draw(st.integers(min_value=0, max_value=width - 1))
     header = draw(st.booleans())
     rows = draw(st.lists(st.lists(CELL, min_size=width, max_size=width), min_size=4, max_size=30))
+    # Some cells of the other columns hold a quoted delimiter.
+    rows = [[f'"x{delimiter}y"' if i != index and draw(st.booleans()) else cell
+             for i, cell in enumerate(row)] for row in rows]
     blank_before = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     bad_row = draw(st.integers(min_value=0, max_value=len(rows) - 1)) if bad_cell else None
     lines = [delimiter.join(f"c{i}" for i in range(width))] if header else []
@@ -391,6 +454,26 @@ class TestDetectCommand:
         assert capsys.readouterr().err == (
             "error: ValueError: interp_factor 100000000000000 upsamples 2000 values to"
             " 199900000000000001, more than can be allocated\n"
+        )
+
+    @pytest.mark.parametrize("column", [str(10**23), str(-(10**23))])
+    def test_huge_column_index_prints_one_error_line(self, tmp_path, capsys, column):
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 24, 96)
+        assert main(["detect", "--input", str(path), "--column", column]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {path}:2: cannot read column '{column}':"
+            " cannot fit 'int' into an index-sized integer\n"
+        )
+
+    def test_season_length_past_the_float_range_prints_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 250, 2500)
+        assert main(["detect", "--input", str(path), "--delta", "1e306"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: ValueError: --delta 1e+306 scales the season length past the float range\n"
         )
 
     def test_overflow_inside_detection_prints_one_error_line(self, tmp_path, capsys):
