@@ -116,6 +116,20 @@ def _fast_len(target: int, primes: tuple[int, ...] = (5, 7, 11)) -> int:
     return best
 
 
+@functools.lru_cache(maxsize=1)
+def _twiddle_tables(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row pass's twiddle of b = q*w + r, w = isqrt(n2), as coarse[k1, q, 0] * fine[k1, 0, r].
+
+    Read-only, and memoised for the last (n1, n2): about 2 ms at 4e6 values.
+    """
+    width = math.isqrt(n2)
+    k1, angle = np.arange(n1 // 2 + 1)[:, None, None], -2j * np.pi / (n1 * n2)
+    coarse = np.exp(angle * (k1 * np.arange(0, n2, width)[:, None]))
+    fine = np.exp(angle * (k1 * np.arange(width)))
+    coarse.flags.writeable = fine.flags.writeable = False
+    return coarse, fine
+
+
 def _grid(x: np.ndarray, n2: int) -> tuple[np.ndarray, int, np.ndarray]:
     """x as a grid with n2 columns: its full rows, their count, and the partial last row.
 
@@ -227,13 +241,10 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
         return
     tail, imag = _column_spectra(x, mean, scale, n1, n2)
     grid, rows, _ = _grid(x, n2)
-    step, half, width = max(1, _SPLIT_BLOCK // n2), n2 // 2 + 1, math.isqrt(n2)
-    # The twiddle exp(-2j pi k1 b / (n1 n2)) of b = q * width + r is coarse[k1, q] * fine[k1, r].
-    k1, angle = np.arange(imag.shape[0])[:, None, None], -2j * np.pi / (n1 * n2)
-    coarse = np.exp(angle * (k1 * np.arange(0, n2, width)[:, None]))
-    fine = np.exp(angle * (k1 * np.arange(width)))
+    step, half = max(1, _SPLIT_BLOCK // n2), n2 // 2 + 1
+    coarse, fine = _twiddle_tables(n1, n2)
     buffer = np.empty((step, n2), dtype=np.complex128)
-    twiddles = np.empty((step, coarse.shape[1], width), dtype=np.complex128)
+    twiddles = np.empty((step, coarse.shape[1], fine.shape[2]), dtype=np.complex128)
     squares = np.empty((step, n2))
     for start in range(0, imag.shape[0], step):
         block = buffer[:min(step, imag.shape[0] - start)]

@@ -110,8 +110,8 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
     is not part of the first cell.
 
     A csv-module reader over the open file reads as far as the header.
-    numpy.loadtxt then parses the column from the file's path, in chunks
-    and with universal newlines, taking '"' as the csv module's quote.
+    numpy.loadtxt then parses the column from the path (as utf-8-sig
+    after a mark) in chunks, with universal newlines and '"' as quote.
     Where it rejects the data, or the file is named like a compressed
     one (.gz, .bz2, .xz, .lzma) that loadtxt would try to decompress,
     the csv-module reader reads on from the header instead, giving
@@ -124,7 +124,7 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
         )
     path = Path(path)
     with path.open(newline="") as handle:
-        if handle.read(1) != "\ufeff":
+        if not (marked := handle.read(1) == "\ufeff"):
             handle.seek(0)
         rows = _csv_rows(path, handle, delimiter)
         first_line, first = next(rows, (0, None))
@@ -148,7 +148,8 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
                 # A header-only file: the empty result fails validation below.
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 values = np.loadtxt(str(path), delimiter=delimiter, skiprows=header_lines,
-                                    usecols=index, comments=None, quotechar='"', ndmin=1)
+                                    usecols=index, comments=None, quotechar='"', ndmin=1,
+                                    encoding="utf-8-sig" if marked else None)
         if values is None:
             values = []
             for line, row in itertools.chain([] if header_lines else [(first_line, first)], rows):

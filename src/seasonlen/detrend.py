@@ -9,23 +9,23 @@ over the series divided by a closed-form power sum of t:
     c0 = mean(x),  c1 = sum(t*x) / sum(t**2),  c2 = sum(q*x) / sum(q**2).
 
 The quadratic term's share of the squared error is exactly
-c2**2 * sum(q**2), which is all degree selection needs. The reductions
-are numpy.einsum sums of products, which make no BLAS call and start no
-threads. Every pass runs block by block: the sums accumulate per block
-(the quadratic one over x centred in a work array), and the trend is
-subtracted in place with Horner's rule in another work array. A longer
-series builds t one block at a time from one arange; for a series of
-one block, t is memoised (the last length only, at most 128 KiB), so a
-detection's four passes build it once. _detrend_in_place selects the
-degree and removes its trend from one mean, sum(t*x) and sum(q*x);
-_remove_polynomial runs every other fit in place. fit_polynomial and
-remove_trend copy their input first. Coefficients are reported in the
-basis of design_matrix, which defines them but is never built here.
+c2**2 * sum(q**2), which is all degree selection needs.
+
+t is never built: every pass runs in blocks of 16384 samples, and over
+the block at `start` t = v*r + u with one read-only ramp r = j / 16384
+(j = 0, 1, ...), v = 16384 / n and u = (start - (n-1)/2) / n. The inner
+products are add.reduce sums of the centred block and its products with
+r and r**2, so no BLAS call is made and no thread started; the trend is
+a polynomial in r, subtracted in place by Horner's rule after its
+constant term, so it rounds at the scale of the variation however far
+an offset lifts the series. _detrend_in_place selects the degree and
+removes its trend from one set of sums; _remove_polynomial runs every
+other fit in place; fit_polynomial and remove_trend copy their input
+first. Coefficients are in the basis of design_matrix, never built here.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -58,14 +58,13 @@ class TrendModel:
     cost: float
 
 
-#: Samples per block of the trend sums and the in-place subtraction:
-#: 16384 float64 values of t and of a work array take 128 KiB each,
-#: small enough for L2.
+#: Samples per block of the trend passes: a work array of 128 KiB stays in L2.
 _BLOCK = 1 << 14
 
-#: 1, 2, ..., _BLOCK: each block of t is this ramp shifted and scaled.
-_RAMP = np.arange(1.0, _BLOCK + 1.0)
-_RAMP.flags.writeable = False
+#: r = j / _BLOCK and r**2 for j = 0, 1, ..., _BLOCK - 1, both exact.
+_RAMP = np.arange(float(_BLOCK)) / _BLOCK
+_RAMP2 = _RAMP * _RAMP
+_RAMP.flags.writeable = _RAMP2.flags.writeable = False
 
 
 def _check_degree(n: int, degree: int) -> None:
@@ -73,13 +72,6 @@ def _check_degree(n: int, degree: int) -> None:
         raise ValueError(f"only degrees 1 and 2 are supported, got {degree}")
     if n < degree + 1:
         raise ValueError(f"need at least {degree + 1} points, got {n}")
-
-
-def _centered_index(n: int) -> np.ndarray:
-    t = np.arange(1, n + 1, dtype=np.float64)
-    t -= (n + 1) / 2.0
-    t /= n
-    return t
 
 
 def _t_squared_sum(n: int) -> float:
@@ -92,50 +84,36 @@ def _q_squared_sum(n: int) -> float:
     return (n * n - 1) * (n * n - 4) / (180.0 * n**3)
 
 
-@functools.lru_cache(maxsize=1)
-def _one_block_index(n: int) -> np.ndarray:
-    """_centered_index(n), read-only, for every pass over a series of one block."""
-    t = _centered_index(n)
-    t.flags.writeable = False
-    return t
+def _inner_products(x: np.ndarray, mean: float, degree: int) -> tuple[float, float, float]:
+    """sum(c) for c = x - mean, sum(t*x) and, for degree 2, sum(q*x); else 0.
 
-
-def _index_blocks(n: int):
-    """The centred index t of n samples, one block of at most _BLOCK at a time.
-
-    Yields (start, t[start:start + _BLOCK]). A series of one block gets
-    the memoised whole of t; a longer one gets each block in one reused
-    work array, shifted and scaled from _RAMP. i - (n+1)/2 is exact, so
-    either way every value equals _centered_index(n)'s.
+    Each block is centred in one work array; s0 = sum(c), s1 = sum(r*c)
+    and s2 = sum(r**2 * c) are summed pairwise from a second. As sum(t)
+    and sum(q) are 0, sum(t*x) = sum(t*c) is the blocks' sum of
+    v*s1 + u*s0, and sum(q*x) = sum(t**2 * c) - mean(t**2) * sum(c) with
+    sum(t**2 * c) their sum of v*(v*s2 + 2*u*s1) + u*u*s0. Centring keeps
+    an offset from cancelling the sums away, sum(c) takes out the mean's
+    rounding, and as r, |u| and v are at most 1 no partial sum outgrows
+    the block's sum of |c|.
     """
-    if n <= _BLOCK:
-        yield 0, _one_block_index(n)
-        return
-    work = np.empty(_BLOCK)
-    offset = (n + 1) / 2.0
+    n = x.size
+    v = _BLOCK / n
+    constant = linear = quadratic = 0.0
+    centred, products = np.empty((2, min(_BLOCK, n)))
     for start in range(0, n, _BLOCK):
-        t = work[: min(_BLOCK, n - start)]
-        np.add(_RAMP[: t.size], start - offset, out=t)
-        t /= n
-        yield start, t
-
-
-def _inner_products(x: np.ndarray, mean: float, degree: int) -> tuple[float, float]:
-    """sum(t*x) and, for degree 2, sum(q*x) = sum(t**2 * (x - mean(x))); else 0.
-
-    Both are summed block by block. Each block of x is centred in a
-    block-sized work array before the quadratic sum, which keeps an
-    offset far above the variation from cancelling the result away.
-    """
-    linear = quadratic = 0.0
-    centred = np.empty(min(_BLOCK, x.size)) if degree == 2 else None
-    for start, t in _index_blocks(x.size):
-        block = x[start:start + t.size]
-        linear += float(np.einsum("i,i->", t, block))
+        c = np.subtract(x[start:start + _BLOCK], mean, out=centred[:min(_BLOCK, n - start)])
+        rc = products[:c.size]
+        u = (start - (n - 1) / 2.0) / n
+        s0 = float(np.add.reduce(c))
+        s1 = float(np.add.reduce(np.multiply(_RAMP[:c.size], c, out=rc)))
+        constant += s0
+        linear += v * s1 + u * s0
         if degree == 2:
-            np.subtract(block, mean, out=centred[: t.size])
-            quadratic += float(np.einsum("i,i,i->", t, t, centred[: t.size]))
-    return linear, quadratic
+            s2 = float(np.add.reduce(np.multiply(_RAMP2[:c.size], c, out=rc)))
+            quadratic += v * (v * s2 + 2.0 * u * s1) + u * u * s0
+    if degree == 2:
+        quadratic -= _t_squared_sum(n) / n * constant
+    return constant, linear, quadratic
 
 
 def design_matrix(n: int, degree: int) -> np.ndarray:
@@ -151,7 +129,7 @@ def design_matrix(n: int, degree: int) -> np.ndarray:
             coefficients.
     """
     _check_degree(n, degree)
-    t = _centered_index(n)
+    t = (np.arange(n) - (n - 1) / 2.0) / n
     return np.column_stack([t**j for j in range(degree + 1)])
 
 
@@ -164,44 +142,52 @@ def _degree(inner: float, n: int, k_trend: float) -> int:
     return 2 if math.log(gap) > k_trend else 1
 
 
-def _coefficients(
-    n: int, degree: int, mean: float, linear: float, quadratic: float
-) -> tuple[float, ...]:
-    """design_matrix coefficients of the fit, from mean(x), sum(t*x) and sum(q*x)."""
+def _coefficients(n: int, degree: int, mean: float, sums: tuple) -> tuple[float, ...]:
+    """design_matrix coefficients of the fit, from the float mean and _inner_products' sums."""
+    constant, linear, quadratic = sums
     c1 = linear / _t_squared_sum(n)
     if degree == 1:
-        return mean, c1
+        return mean + constant / n, c1
     c2 = quadratic / _q_squared_sum(n)
-    return mean - c2 * _t_squared_sum(n) / n, c1, c2
+    return mean + (constant - c2 * _t_squared_sum(n)) / n, c1, c2
 
 
 def _subtract_trend_in_place(x: np.ndarray, coefficients) -> None:
     """x -= the polynomial with design_matrix coefficients, one block at a time.
 
-    Each block's trend is evaluated by Horner's rule at that block of t
-    in a block-sized work array, so the passes over it stay in cache;
-    every value is rounded exactly as a whole-array evaluation rounds it.
+    Each block loses c0 first. Over it, t = v*r + u turns c1*t + c2*t**2
+    into b0 + b1*r + b2*r**2, with b2 = c2*v**2, b1 = (c1 + 2*c2*u)*v and
+    b0 = (c1 + c2*u)*u, evaluated by Horner's rule in a work array.
     """
-    work = np.empty(min(_BLOCK, x.size), dtype=np.float64)
-    for start, t in _index_blocks(x.size):
-        trend = work[: t.size]
-        np.multiply(t, coefficients[-1], out=trend)
-        trend += coefficients[-2]
+    n = x.size
+    v = _BLOCK / n
+    c0, c1, c2 = (*coefficients, 0.0)[:3]
+    work = np.empty(min(_BLOCK, n))
+    for start in range(0, n, _BLOCK):
+        trend = work[:min(_BLOCK, n - start)]
+        r = _RAMP[:trend.size]
+        u = (start - (n - 1) / 2.0) / n
         if len(coefficients) == 3:
-            trend *= t
-            trend += coefficients[0]
-        x[start:start + t.size] -= trend
+            np.multiply(r, c2 * v * v, out=trend)
+            trend += (c1 + 2.0 * c2 * u) * v
+            trend *= r
+        else:
+            np.multiply(r, c1 * v, out=trend)
+        trend += (c1 + c2 * u) * u
+        block = x[start:start + trend.size]
+        block -= c0
+        block -= trend
 
 
 def _detrend_in_place(x: np.ndarray, k_trend: float) -> int:
     """select_trend_degree, then that degree's residual written over x; returns the degree.
 
-    Selection and fit share one mean, one sum(t*x) and one sum(q*x).
+    Selection and fit share one mean and one set of sums.
     """
     mean = float(x.mean())
-    linear, quadratic = _inner_products(x, mean, 2)
-    degree = _degree(quadratic, x.size, k_trend)
-    _subtract_trend_in_place(x, _coefficients(x.size, degree, mean, linear, quadratic))
+    sums = _inner_products(x, mean, 2)
+    degree = _degree(sums[2], x.size, k_trend)
+    _subtract_trend_in_place(x, _coefficients(x.size, degree, mean, sums))
     return degree
 
 
@@ -212,7 +198,7 @@ def _remove_polynomial(x: np.ndarray, degree: int) -> tuple[float, ...]:
     """
     _check_degree(x.size, degree)
     mean = float(x.mean())
-    coefficients = _coefficients(x.size, degree, mean, *_inner_products(x, mean, degree))
+    coefficients = _coefficients(x.size, degree, mean, _inner_products(x, mean, degree))
     _subtract_trend_in_place(x, coefficients)
     return coefficients
 
@@ -243,7 +229,7 @@ def select_trend_degree(series: TimeSeries, k_trend: float) -> int:
     """
     x = series.values
     _check_degree(x.size, 2)
-    return _degree(_inner_products(x, float(x.mean()), 2)[1], x.size, k_trend)
+    return _degree(_inner_products(x, float(x.mean()), 2)[2], x.size, k_trend)
 
 
 def remove_trend(series: TimeSeries, model: TrendModel) -> TimeSeries:

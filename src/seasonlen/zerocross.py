@@ -55,13 +55,13 @@ def _find_zeros(v: np.ndarray, epsilon_rel: float) -> np.ndarray:
     cross_idx = np.flatnonzero(v[:-1] * v[1:] < 0.0)
     crossings = cross_idx + v[cross_idx] / (v[cross_idx] - v[cross_idx + 1])
 
-    # In-band lags, framed by an out-of-band lag at each end so a run s..e
-    # rises at edge s and falls at edge e + 1. Two comparisons, not
-    # np.abs(v) <= tolerance: no float temporary of v's size.
-    inside = np.zeros(v.size + 2, dtype=np.int8)
-    inside[1:-1] = (v >= -tolerance) & (v <= tolerance)
-    edges = np.diff(inside)
-    run_centers = (np.flatnonzero(edges == 1) + np.flatnonzero(edges == -1) - 1) / 2.0
+    # In-band lags (two comparisons: no float temporary of v's size); a run
+    # of them ends wherever the next one is more than a lag away.
+    inside = np.flatnonzero((v >= -tolerance) & (v <= tolerance))
+    gap = np.diff(inside) > 1
+    starts = np.concatenate((inside[:1], inside[1:][gap]))
+    ends = np.concatenate((inside[:-1][gap], inside[-1:]))
+    run_centers = (starts + ends) / 2.0
 
     candidates = np.sort(np.concatenate((crossings, run_centers)))
     candidates = candidates[candidates >= 1.0]

@@ -1,7 +1,5 @@
 """Normalized autocorrelation and its secondary detrending."""
 
-import math
-
 import numpy as np
 import pytest
 import scipy.fft
@@ -14,6 +12,7 @@ from seasonlen.autocorr import (
     _factor,
     _fast_len,
     _grid,
+    _twiddle_tables,
     autocorrelation,
     detrend_acf,
 )
@@ -126,19 +125,6 @@ def noisy_sine(n, seed):
     return 5.0 + np.sin(2 * np.pi * np.arange(n) / 997.0) + rng.normal(0, 1, n)
 
 
-def twiddle_tables(n1, n2):
-    """The row pass's tables: coarse[k1, q] * fine[k1, r] is its twiddle at b = q * width + r.
-
-    Built as the module builds them inline, with the same shapes (k1 on
-    the first axis, q then r on the next two), so their products are the
-    module's twiddles bit for bit.
-    """
-    width = math.isqrt(n2)
-    k1, angle = np.arange(n1 // 2 + 1)[:, None, None], -2j * np.pi / (n1 * n2)
-    coarse = np.exp(angle * (k1 * np.arange(0, n2, width)[:, None]))
-    return coarse, np.exp(angle * (k1 * np.arange(width)))
-
-
 def twiddle_rows(tables, start, stop, n2):
     """The twiddles of rows start:stop, exp(-2j pi k1 b / (n1 n2)) for b < n2."""
     coarse, fine = tables
@@ -175,7 +161,7 @@ def complex_spectrum_acf(values):
     half = n2 // 2 + 1
     inverse = np.empty((n1 // 2 + 1, half), dtype=np.complex128)
     step = max(1, _SPLIT_BLOCK // n2)
-    tables = twiddle_tables(n1, n2)
+    tables = _twiddle_tables(n1, n2)
     for start in range(0, spectrum.shape[0], step):
         block = spectrum[start:start + step]
         twiddle = twiddle_rows(tables, start, start + block.shape[0], n2)
@@ -274,13 +260,24 @@ class TestSplitTransform:
     def test_twiddle_tables_give_every_twiddle_within_a_few_ulp(self):
         # n2 = 539 splits as b = 23q + r over 24 coarse steps, 13 past n2.
         n1, n2 = _factor(144_958)
-        twiddles = twiddle_rows(twiddle_tables(n1, n2), 0, n1 // 2 + 1, n2)
+        twiddles = twiddle_rows(_twiddle_tables(n1, n2), 0, n1 // 2 + 1, n2)
         # The reference angle is rounded once, in extended precision where
         # the platform has it.
         turns = (np.arange(n1 // 2 + 1)[:, None] * np.arange(n2)).astype(np.longdouble)
         angle = 8 * np.arctan(np.longdouble(1)) * turns / (n1 * n2)
         error = np.hypot(twiddles.real - np.cos(angle), twiddles.imag + np.sin(angle))
         assert error.max() <= 4 * np.finfo(float).eps
+
+    def test_twiddle_tables_are_built_once_per_length(self):
+        series = validate_series(noisy_sine(SPLIT_N + 1, 6))
+        _twiddle_tables.cache_clear()
+        first = autocorrelation(series).values
+        second = autocorrelation(series).values
+        info = _twiddle_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert np.array_equal(first, second)
+        tables = _twiddle_tables(*_factor(series.values.size))
+        assert not any(table.flags.writeable for table in tables)
 
     @pytest.mark.parametrize("n", [144_958, 1_000_003])
     def test_inverse_column_pass_transforms_half_the_columns(self, n, monkeypatch):

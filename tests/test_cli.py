@@ -260,6 +260,25 @@ class TestReadSeriesCsv:
         # The parsed column and the series' own copy of it; the text is never held whole.
         assert peak < 3 * values.nbytes
 
+    def test_a_headerless_file_with_a_byte_order_mark_parses_through_loadtxt(
+        self, tmp_path, loadtxt_files
+    ):
+        values = np.random.default_rng(3).standard_normal(200_000)
+        text = "".join(f"{v!r}\n" for v in values.tolist())
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        read_series_csv(marked)  # so that one-time allocations are not counted
+        tracemalloc.start()
+        try:
+            parsed = read_series_csv(marked).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.tobytes() == read_series_csv(plain).values.tobytes() == values.tobytes()
+        assert loadtxt_files == [str, str, str]
+        assert peak < 3 * values.nbytes
+
 
 @pytest.fixture
 def loadtxt_files(monkeypatch):

@@ -9,17 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 from seasonlen.core import TimeSeries, validate_series
 from seasonlen.detrend import (
     _BLOCK,
-    _centered_index,
     _detrend_in_place,
-    _index_blocks,
-    _one_block_index,
     _remove_polynomial,
     design_matrix,
     fit_polynomial,
     remove_trend,
     select_trend_degree,
 )
-from seasonlen.pipeline import detect_season_length
 
 E_SQUARED = np.e**2
 
@@ -67,53 +63,64 @@ class TestDesignMatrix:
             design_matrix(2, 2)
 
 
-@pytest.mark.parametrize("n", [3, _BLOCK, _BLOCK + 1, 3 * _BLOCK - 1])
-def test_index_blocks_are_the_centred_index_bit_for_bit(n):
-    # A series of one block reads the memoised, read-only t; a longer one
-    # gets t one block at a time in a reused work array.
-    assert all(t.flags.writeable == (n > _BLOCK) for _, t in _index_blocks(n))
-    blocks = [(start, t.copy()) for start, t in _index_blocks(n)]
-    assert [start for start, _ in blocks] == list(range(0, n, _BLOCK))
-    assert np.concatenate([t for _, t in blocks]).tobytes() == _centered_index(n).tobytes()
+#: Three samples, one block and a sample either side, and three blocks less one.
+BLOCK_EDGES = [3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK - 1]
+
+#: Offsets in units of the range of the trended series, up to 1e14.
+OFFSETS = [0.0, 1.0, 1e3, 1e8, 1e11, 1e14, -1e14]
 
 
-@pytest.mark.parametrize("n", [3, 2_000, _BLOCK])
+def trended(n, offset):
+    """Unit noise under a linear and a quadratic trend, shifted by offset times its range."""
+    i = np.arange(n)
+    base = np.random.default_rng(n).normal(0.0, 1.0, n) + 3.0 * i / n - 2.0 * (i / n) ** 2
+    return base + offset * np.ptp(base)
+
+
+def extended_residual(x, degree):
+    """The least-squares residual of x on design_matrix's basis, in np.longdouble."""
+    n = x.size
+    c = x.astype(np.longdouble)
+    c -= c.mean()
+    t = (np.arange(n, dtype=np.longdouble) - np.longdouble(n - 1) / 2) / n
+    residual = c - t * (t @ c) / (t @ t)
+    if degree == 2:
+        q = t * t - (t * t).mean()
+        residual -= q * (q @ c) / (q @ q)
+    return residual
+
+
+@pytest.mark.parametrize("n", [3, 2_000, *BLOCK_EDGES[1:]])
 @pytest.mark.parametrize("k_trend", [-np.inf, np.inf])
 def test_a_prebuilt_index_gives_the_same_residuals_bit_for_bit(n, k_trend):
-    # The memoised t serves both the pass that selects the degree and the
-    # fixed-degree kernel; both equal a whole-array evaluation on a fresh t.
-    x = 1e3 + np.random.default_rng(n).normal(0, 1, n) + np.arange(n) ** 2 / n
-    selected, fixed = x.copy(), x.copy()
-    _one_block_index.cache_clear()
-    degree = _detrend_in_place(selected, k_trend)
-    assert degree == (2 if k_trend < 0 else 1)
-    c = _remove_polynomial(fixed, degree)
-    assert _one_block_index.cache_info().misses == 1
-    t = _centered_index(n)
-    trend = c[-1] * t + c[-2] if degree == 1 else (c[-1] * t + c[-2]) * t + c[0]
-    assert selected.tobytes() == fixed.tobytes() == (x - trend).tobytes()
+    # The prebuilt index is the module ramp: the pass that selects the
+    # degree, the fixed-degree kernel and the public fit-then-remove run
+    # the same sums over it and the same subtraction.
+    for offset in OFFSETS:
+        x = trended(n, offset)
+        selected, fixed = x.copy(), x.copy()
+        degree = _detrend_in_place(selected, k_trend)
+        assert degree == (2 if k_trend < 0 else 1)
+        _remove_polynomial(fixed, degree)
+        series = TimeSeries(x)
+        public = remove_trend(series, fit_polynomial(series, degree)).values
+        assert selected.tobytes() == fixed.tobytes() == public.tobytes()
 
 
-def test_a_detection_of_one_block_builds_the_index_once():
-    # 2,000 raw samples upsample to 7,997: both trend passes and both
-    # passes of the line fit over the autocorrelation share one t.
-    i = np.arange(2_000)
-    series = validate_series(np.sin(2 * np.pi * i / 250) + i / 1_000)
-    _one_block_index.cache_clear()
-    assert detect_season_length(series).is_seasonal
-    info = _one_block_index.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
-    list(_index_blocks(3))  # the memo holds the last length only
-    assert _one_block_index.cache_info().currsize == 1
-
-
-def test_longer_series_and_the_design_matrix_leave_the_memo_untouched():
-    list(_index_blocks(100))
-    before = _one_block_index.cache_info()
-    list(_index_blocks(_BLOCK + 1))
-    design_matrix(_BLOCK, 2)
-    design_matrix(50, 1)
-    assert _one_block_index.cache_info() == before
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="no extended-precision long double")
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("offset", OFFSETS)
+@pytest.mark.parametrize("degree", [1, 2])
+def test_residuals_are_within_a_few_ulps_of_an_extended_precision_fit(n, offset, degree):
+    # Up to 1e14 times the range the residual is off by the rounding of
+    # c0, a constant; past it, only by a few roundings of the variation.
+    x = trended(n, offset)
+    residual = x.copy()
+    _remove_polynomial(residual, degree)
+    error = residual - extended_residual(x, degree)
+    assert np.abs(error).max() <= 6 * np.spacing(np.abs(x).max())
+    assert np.abs(error - error[0]).max() <= 8 * np.spacing(np.ptp(x))
 
 
 class TestFitPolynomial:

@@ -336,3 +336,40 @@ class TestEstimateFromZeros:
             lo, hi = points[i], points[i + 1]
             if hi - lo >= b - a and (lo, hi) != (a, b):
                 assert spread(chosen) <= spread(analysis.distances[lo:hi])
+
+
+def zeros_by_frame_and_diff(v, epsilon_rel):
+    """find_zeros as it once located band runs: rising and falling edges of a framed mask."""
+    tolerance = epsilon_rel * (v.max() - v.min())
+    cross_idx = np.flatnonzero(v[:-1] * v[1:] < 0.0)
+    crossings = cross_idx + v[cross_idx] / (v[cross_idx] - v[cross_idx + 1])
+    inside = np.zeros(v.size + 2, dtype=np.int8)
+    inside[1:-1] = (v >= -tolerance) & (v <= tolerance)
+    edges = np.diff(inside)
+    run_centers = (np.flatnonzero(edges == 1) + np.flatnonzero(edges == -1) - 1) / 2.0
+    candidates = np.sort(np.concatenate((crossings, run_centers)))
+    candidates = candidates[candidates >= 1.0]
+    if candidates.size == 0:
+        return candidates
+    boundaries = np.concatenate(([0], np.flatnonzero(np.diff(candidates) > 0.5) + 1))
+    sums = np.add.reduceat(candidates, boundaries)
+    counts = np.diff(np.concatenate((boundaries, [candidates.size])))
+    return sums / counts
+
+
+@given(
+    values=st.lists(lag_values, min_size=2, max_size=60),
+    epsilon_rel=st.sampled_from([0.0, 1e-6, 1e-4, 1e-2, 0.5, 1.0]),
+)
+@example(values=[0.0, 0.0, 1.0, -1.0, 0.5, 0.0, 0.0], epsilon_rel=0.0)  # runs at both ends
+@example(values=[0.0, 1e-7, -0.5, 1.0, 0.2, -1e-7], epsilon_rel=1e-4)
+@example(values=[0.3, 0.4, 0.5, 0.2, 0.9], epsilon_rel=1e-4)  # no lag in band
+@example(values=[0.0, 0.0, 0.0], epsilon_rel=0.0)  # every lag in band
+@example(values=[0.3, -0.4, 0.5, 0.2, 0.9], epsilon_rel=1.0)  # every lag in band
+@settings(max_examples=300, deadline=None)
+def test_band_runs_from_the_in_band_indices_match_the_framed_edges_bit_for_bit(
+    values, epsilon_rel
+):
+    v = np.asarray(values)
+    got = find_zeros(detrended(v), epsilon_rel)
+    assert got.tobytes() == zeros_by_frame_and_diff(v, epsilon_rel).tobytes()
