@@ -16,12 +16,13 @@ the block at `start` t = v*r + u with one read-only ramp r = j / 16384
 (j = 0, 1, ...), v = 16384 / n and u = (start - (n-1)/2) / n. The inner
 products are add.reduce sums of the centred block and its products with
 r and r**2, so no BLAS call is made and no thread started; the trend is
-a polynomial in r, subtracted in place by Horner's rule after its
-constant term, so it rounds at the scale of the variation however far
-an offset lifts the series. _detrend_in_place selects the degree and
-removes its trend from one set of sums; _remove_polynomial runs every
-other fit in place; fit_polynomial and remove_trend copy their input
-first. Coefficients are in the basis of design_matrix, never built here.
+a polynomial in r (in v*r = j/n below one block, where v > 1), taken off
+in place by Horner's rule after its constant term, so it rounds at the
+scale of the variation however far an offset lifts the series.
+_detrend_in_place selects the degree and removes its trend from one set
+of sums; _remove_polynomial runs every other fit in place;
+fit_polynomial and remove_trend copy their input first. Coefficients
+are in the basis of design_matrix, never built here.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ def _inner_products(x: np.ndarray, mean: float, degree: int) -> tuple[float, flo
     v*s1 + u*s0, and sum(q*x) = sum(t**2 * c) - mean(t**2) * sum(c) with
     sum(t**2 * c) their sum of v*(v*s2 + 2*u*s1) + u*u*s0. Centring keeps
     an offset from cancelling the sums away, sum(c) takes out the mean's
-    rounding, and as r, |u| and v are at most 1 no partial sum outgrows
-    the block's sum of |c|.
+    rounding, and as r, v*r and |u| are at most 1 no partial sum outgrows
+    the block's sum of |c|: where v > 1 the series is one block and r is
+    at most (n-1)/16384.
     """
     n = x.size
     v = _BLOCK / n
@@ -157,15 +159,19 @@ def _subtract_trend_in_place(x: np.ndarray, coefficients) -> None:
 
     Each block loses c0 first. Over it, t = v*r + u turns c1*t + c2*t**2
     into b0 + b1*r + b2*r**2, with b2 = c2*v**2, b1 = (c1 + 2*c2*u)*v and
-    b0 = (c1 + c2*u)*u, evaluated by Horner's rule in a work array.
+    b0 = (c1 + c2*u)*u, evaluated by Horner's rule in a work array. Below
+    one block v > 1 would scale b1 and b2 past the float maximum for data
+    near it, so the one block uses the ramp v*r = j/n with v = 1 instead.
     """
     n = x.size
-    v = _BLOCK / n
+    ramp, v = _RAMP, _BLOCK / n
+    if v > 1.0:
+        ramp, v = _RAMP[:n] * v, 1.0
     c0, c1, c2 = (*coefficients, 0.0)[:3]
     work = np.empty(min(_BLOCK, n))
     for start in range(0, n, _BLOCK):
         trend = work[:min(_BLOCK, n - start)]
-        r = _RAMP[:trend.size]
+        r = ramp[:trend.size]
         u = (start - (n - 1) / 2.0) / n
         if len(coefficients) == 3:
             np.multiply(r, c2 * v * v, out=trend)

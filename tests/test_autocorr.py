@@ -268,17 +268,6 @@ class TestSplitTransform:
         error = np.hypot(twiddles.real - np.cos(angle), twiddles.imag + np.sin(angle))
         assert error.max() <= 4 * np.finfo(float).eps
 
-    def test_twiddle_tables_are_built_once_per_length(self):
-        series = validate_series(noisy_sine(SPLIT_N + 1, 6))
-        _twiddle_tables.cache_clear()
-        first = autocorrelation(series).values
-        second = autocorrelation(series).values
-        info = _twiddle_tables.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert np.array_equal(first, second)
-        tables = _twiddle_tables(*_factor(series.values.size))
-        assert not any(table.flags.writeable for table in tables)
-
     @pytest.mark.parametrize("n", [144_958, 1_000_003])
     def test_inverse_column_pass_transforms_half_the_columns(self, n, monkeypatch):
         # The lags are even, so the columns past n2//2 are mirrors, not transforms.

@@ -123,6 +123,21 @@ def test_residuals_are_within_a_few_ulps_of_an_extended_precision_fit(n, offset,
     assert np.abs(error - error[0]).max() <= 8 * np.spacing(np.ptp(x))
 
 
+@pytest.mark.parametrize("n, degree", [(2, 1), (3, 1), (3, 2), (100, 1), (100, 2)])
+def test_short_series_near_the_float_maximum_fit_without_overflow(n, degree):
+    # Shorter than a block, v = _BLOCK / n reaches 8192 at n = 2: folded
+    # into the coefficients, it would lift c1 * v past the float maximum
+    # and the zero ramp value would turn inf * 0 into NaN.
+    x = 1e305 * np.linspace(-1.0, 1.0, n) + 1e304 * np.random.default_rng(n).normal(size=n)
+    series = TimeSeries(x)
+    model = fit_polynomial(series, degree)
+    residual = remove_trend(series, model).values
+    assert np.isfinite(model.coefficients).all()
+    assert np.isfinite(residual).all()
+    error = residual - extended_residual(x, degree)
+    assert np.abs(error).max() <= 1e-14 * np.abs(x).max()
+
+
 class TestFitPolynomial:
     def test_exact_line(self):
         model = fit_polynomial(validate_series([1, 2, 3, 4, 5]), 1)
