@@ -5,10 +5,11 @@ its lag-0 value, so values lie in [-1, 1] and taper toward high lags.
 It is computed through a zero-padded real FFT in O(n log n) and agrees
 with the direct lagged-product sum to within accumulation error. From a
 transform length of 2**17 the FFT is factored as n1 x n2 (the four-step
-FFT): batches of short transforms over the columns and rows of the
-series, each batch small enough to stay in cache, in place of one
-transform that streams the whole zero-padded array through memory in
-every radix pass. The column batches are copied, transposed, into one
+FFT, 5-smooth for pocketfft's real radices, n2 with at most 2**5 against
+row-stride aliasing): batches of short transforms over the columns and
+rows of the series, each batch small enough to stay in cache, in place
+of one transform that streams the whole zero-padded array through memory
+in every radix pass. The column batches are copied, transposed, into one
 contiguous buffer of 128 rows, so every transform runs along
 contiguous rows; the series is centred and scaled in that buffer, not
 in separate passes over its whole length. The (n1/2 + 1) x n2
@@ -16,8 +17,8 @@ half-spectrum is two real planes: the real one is the series' own grid,
 whose cells each column batch copies out before writing them, plus a
 few tail rows; the imaginary one is the only new series-sized array.
 The autocorrelation is real and even, so half the inverse suffices:
-one inverse Hermitian FFT per row gives the first n2//2 + 1 columns,
-only those are transformed down, and each fills its mirror column.
+each row's real power, by its conjugated real FFT, gives the first
+n2//2 + 1 columns; only those go down, and each fills its mirror column.
 Shorter series run the one monolithic transform. Every transform is
 numpy.fft's pocketfft.
 
@@ -28,6 +29,7 @@ that zero crossings are measured against the true axis.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 
@@ -67,7 +69,7 @@ def autocorrelation(series: TimeSeries) -> TimeSeries:
 _SPLIT_NFFT = 1 << 17
 
 #: Columns per block of the four-step column passes: at 4e6 points
-#: (n1 = 2880) a block takes 2.9 MB; 64 to 256 timed the same there.
+#: (n1 = 2560) a block takes 2.6 MB; 64 to 256 timed the same at n1 = 2880.
 _COLUMN_BLOCK = 128
 
 #: Complex values per block of the four-step row pass: 32768 of them take
@@ -79,31 +81,39 @@ _SPLIT_BLOCK = 1 << 15
 def _factor(n: int) -> tuple[int, int]:
     """Transform length n1 * n2 >= 2n for the ACF of n values, as (n1, n2).
 
-    n2 == 1 is the unsplit transform of length _fast_len(2n). The
-    factors are memoised by n, since the length search costs 8 to 18
-    us at suite sizes; 128 entries hold every length of the 110-case
-    suite.
+    n2 == 1 is the unsplit transform of length _fast_len(2n). A split
+    has 5-smooth factors (real FFTs took 3.8 ns per value at n2 = 2835,
+    2.5 at 5-smooth n2) and at most 2**5 in n2 (n2 = 2048 to 4096 took
+    135 to 146 ms at 4e6 points, 2560 x 3125 118); of the pairs with n2
+    in [sqrt(2n)/2, 2 sqrt(2n)] the least product wins, then the squarer.
+    The search costs 8 to 80 us; 128 memo entries hold every suite length.
     """
     nfft = _fast_len(2 * n)
     if nfft < _SPLIT_NFFT:
         return nfft, 1
-    n2 = _fast_len(math.isqrt(2 * n))
-    return _fast_len(-(-2 * n // n2), (5,)), n2
+    top, smooth = 4 * math.isqrt(2 * n) + 8, [1]  # above every n1 and n2 wanted
+    for p in (2, 3, 5):
+        for f in list(smooth):
+            while (f := f * p) <= top:
+                smooth.append(f)
+    smooth.sort()
+    pairs = [(smooth[bisect.bisect_left(smooth, -(-2 * n // n2))], n2) for n2 in smooth
+             if n <= 2 * n2 * n2 <= 16 * n and n2 % 64]
+    return min(pairs, key=lambda pair: (pair[0] * pair[1], max(pair)))
 
 
-def _fast_len(target: int, primes: tuple[int, ...] = (5, 7, 11)) -> int:
-    """The least length >= target with no prime factor but 2, 3 and primes.
+def _fast_len(target: int) -> int:
+    """The least 11-smooth length >= target.
 
-    pocketfft's good_size, as scipy.fft.next_fast_len(target) gives it;
-    primes=(5,) gives next_fast_len(target, real=True). The power of two
-    >= target is the first candidate. Every product f of powers of primes
-    below it is walked up by factors of 3, and each f * 3**j is doubled
-    to the least such multiple >= target.
+    pocketfft's good_size, as scipy.fft.next_fast_len(target) gives it.
+    The power of two >= target is the first candidate. Every product f
+    of powers of 5, 7 and 11 below it is walked up by factors of 3, and
+    each f * 3**j is doubled to the least such multiple >= target.
     """
     below = target - 1
     best = 1 << below.bit_length()
     factors = [1]
-    for p in primes:
+    for p in (5, 7, 11):
         for f in list(factors):
             while (f := f * p) < best:
                 factors.append(f)
@@ -208,12 +218,12 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
     along cache-sized blocks of rows, |X|**2, and the same steps back;
     _column_lags writes the normalized lags below n into x. Each row
     block is built from the two planes; its power is real, so the
-    inverse Hermitian FFT of length n2 gives the inverse's first
-    n2//2 + 1 columns, which go back into the planes' first columns, in
-    rows the pass has already read. Both inverses are unscaled: dividing
-    by lag 0 takes out their factor n1 * n2. Short series (n2 == 1) are
-    centred and scaled in place and run the one real FFT of length
-    _fast_len(2n) and its inverse.
+    conjugate of its real FFT is the inverse's first n2//2 + 1 columns:
+    times the twiddle, their real and negated imaginary parts go back
+    into the planes' first columns, in rows the pass has already read.
+    Both inverses are unscaled: dividing by lag 0 takes out their factor
+    n1 * n2. Short series (n2 == 1) are centred and scaled in place and
+    run the one real FFT of length _fast_len(2n) and its inverse.
     """
     n = x.size
     mean = x.mean()
@@ -253,10 +263,10 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
         transformed = np.fft.fft(block, axis=1, out=block)
         power = np.square(transformed.real, out=squares[:block.shape[0]])
         power += np.square(transformed.imag, out=transformed.imag)
-        inverse = np.fft.ihfft(power, axis=1, norm="forward")
-        inverse *= np.conjugate(twiddle[:, :half], out=twiddle[:, :half])
+        inverse = np.fft.rfft(power, axis=1)
+        inverse *= twiddle[:, :half]
         real[0][:, :half], real[1][:, :half] = np.split(inverse.real, [real[0].shape[0]])
-        imag[start:stop, :half] = inverse.imag
+        np.negative(inverse.imag, out=imag[start:stop, :half])
     _column_lags(x, tail, imag, n1)
 
 

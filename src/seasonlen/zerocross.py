@@ -29,6 +29,9 @@ __all__ = [
     "estimate_from_zeros",
 ]
 
+#: Lags per block of the sign-change pass: its products take 512 KiB.
+_BLOCK = 1 << 16
+
 
 def find_zeros(acf: TimeSeries, epsilon_rel: float) -> np.ndarray:
     """Locate the zeros of a detrended autocorrelation.
@@ -52,7 +55,9 @@ def _find_zeros(v: np.ndarray, epsilon_rel: float) -> np.ndarray:
     """find_zeros on a plain array of autocorrelation values, in one pass over the lags."""
     tolerance = epsilon_rel * (v.max() - v.min())
 
-    cross_idx = np.flatnonzero(v[:-1] * v[1:] < 0.0)
+    cross_idx = np.concatenate([
+        np.flatnonzero(v[i:min(i + _BLOCK, v.size - 1)] * v[i + 1:i + _BLOCK + 1] < 0.0) + i
+        for i in range(0, v.size - 1, _BLOCK)])
     crossings = cross_idx + v[cross_idx] / (v[cross_idx] - v[cross_idx + 1])
 
     # In-band lags (two comparisons: no float temporary of v's size); a run

@@ -1,5 +1,7 @@
 """Normalized autocorrelation and its secondary detrending."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -186,14 +188,55 @@ def complex_spectrum_acf(values):
     return acf
 
 
+def storage_cases(n):
+    """The cases of the four-step kernel's storage that a split length n meets.
+
+    The tail is the spectrum's rows past the grid of full rows; columns
+    from n2//2 + 1 on are filled as mirrors; a row-pass block of
+    _SPLIT_BLOCK // n2 rows holds grid and tail rows unless the grid's
+    row count is a multiple of it.
+    """
+    n1, n2 = _factor(n)
+    rows, partial = divmod(n, n2)
+    tail = n1 // 2 + 1 - rows
+    hits = {
+        "odd n1": n1 % 2 == 1,
+        "even n1": n1 % 2 == 0,
+        "odd n2": n2 % 2 == 1,
+        "even n2": n2 % 2 == 0,
+        "one tail row": tail == 1,
+        "several tail rows": tail > 1,
+        "full grid": partial == 0,
+        "mirrored partial row": partial > n2 // 2 + 1,
+        "block of grid and tail": rows % max(1, _SPLIT_BLOCK // n2) != 0,
+    }
+    assert n2 > 1
+    return {case for case, hit in hits.items() if hit}
+
+
+#: Split lengths, each with the storage cases of the four-step kernel it is
+#: there to cover (see storage_cases).
+STORAGE_CASES = [
+    (65_489, {"odd n1", "even n2", "one tail row"}),  # the shortest split length
+    (SPLIT_N, {"odd n1", "one tail row"}),
+    (SPLIT_N + 1, {"odd n1", "one tail row"}),
+    (69_990, {"odd n2", "mirrored partial row", "block of grid and tail"}),
+    (131_072, {"even n1", "several tail rows", "mirrored partial row"}),
+    (131_101, {"mirrored partial row", "block of grid and tail"}),
+    (144_958, {"several tail rows", "block of grid and tail"}),
+    (262_139, {"odd n1", "one tail row", "block of grid and tail"}),
+    (300_000, {"full grid", "one tail row", "block of grid and tail"}),
+    (393_209, {"even n2", "several tail rows"}),
+    (1_000_003, {"several tail rows", "mirrored partial row", "block of grid and tail"}),
+]
+
+
 class TestTransformLength:
     """_fast_len is a port of pocketfft's good_size, so scipy.fft.next_fast_len is its reference."""
 
     @staticmethod
     def assert_matches_scipy(lengths):
-        for primes, real in (((5, 7, 11), False), ((5,), True)):
-            ours = [_fast_len(n, primes) for n in lengths]
-            assert ours == [scipy.fft.next_fast_len(n, real) for n in lengths], real
+        assert [_fast_len(n) for n in lengths] == [scipy.fft.next_fast_len(n) for n in lengths]
 
     def test_every_length_up_to_ten_thousand(self):
         self.assert_matches_scipy(range(1, 10_001))
@@ -206,23 +249,51 @@ class TestTransformLength:
 
     @pytest.mark.parametrize(
         "n, factors",
-        [(65_488, (130_977, 1)), (65_489, (375, 363)), (3_999_997, (2880, 2835))],
+        [(65_488, (130_977, 1)), (65_489, (405, 324)), (3_999_997, (2560, 3125))],
     )
     def test_factor_on_both_sides_of_the_split(self, n, factors):
         assert _factor(n) == factors
+
+    @given(n=st.integers(min_value=65_489, max_value=5_000_011))
+    @example(n=65_489)  # the shortest split length
+    @example(n=SPLIT_N)
+    @example(n=1 << 20)
+    @example(n=1 << 21)
+    @example(n=1 << 22)
+    @example(n=3_999_997)
+    @settings(max_examples=40, deadline=None)
+    def test_split_is_the_least_5_smooth_product(self, n):
+        # Reference: every n2 in [sqrt(2n)/2, 2 sqrt(2n)] that is 5-smooth
+        # with at most 2**5 in it, each with scipy's least 5-smooth n1.
+        def smooth(m):
+            return scipy.fft.next_fast_len(m, real=True) == m
+
+        pairs = [
+            (scipy.fft.next_fast_len(-(-2 * n // n2), real=True), n2)
+            for n2 in range(math.isqrt(n // 2), math.isqrt(8 * n) + 1)
+            if n <= 2 * n2 * n2 <= 16 * n and smooth(n2) and n2 % 64
+        ]
+        n1, n2 = _factor(n)
+        assert smooth(n1) and smooth(n2)
+        assert n1 * n2 >= 2 * n
+        assert n2 % 64 and n <= 2 * n2 * n2 <= 16 * n
+        assert n1 * n2 == min(a * b for a, b in pairs)
+        assert max(n1, n2) == min(max(a, b) for a, b in pairs if a * b == n1 * n2)
 
 
 class TestSplitTransform:
     """Series long enough for the four-step transform (n2 > 1 columns)."""
 
     @given(n=st.integers(min_value=SPLIT_N, max_value=3 * SPLIT_N), seed=st.integers(0, 2**32 - 1))
-    @example(n=131_072, seed=0)  # 512 x 512: no partial last row
-    @example(n=131_101, seed=1)  # prime: 29 values in the last row
+    @example(n=131_072, seed=0)  # 486 columns, 338 in the last row
+    @example(n=131_101, seed=1)  # prime: 367 values in the last row
     @example(n=262_139, seed=2)  # prime, four times the threshold
+    @example(n=300_000, seed=3)  # 400 x 750: no partial last row
     # The partial last row spans more than one column block, and the last
-    # block is narrower than the rest: 784 columns, 512 in the last row.
-    @example(n=300_000, seed=3)
-    @example(n=393_209, seed=4)  # prime: 891 columns, 278 in the last row
+    # block is narrower than the rest: 810 columns, 359 in the last row.
+    @example(n=393_209, seed=4)
+    @example(n=1 << 20, seed=5)
+    @example(n=3_999_997, seed=6)  # the long_series length: 2560 x 3125
     @settings(max_examples=15, deadline=None)
     def test_matches_the_monolithic_transform(self, n, seed):
         n1, n2 = _factor(n)
@@ -239,27 +310,16 @@ class TestSplitTransform:
         x = noisy_sine(n, 4)
         assert np.array_equal(autocorrelation(validate_series(x)).values, monolithic_acf(x))
 
-    # 65,489 is the shortest split length. The tail past the grid holds
-    # 1 to 27 rows; 131,072 fills its grid and the others leave a partial
-    # last row; from 144,958 on, a row-pass block holds rows of both.
-    # n2 is odd up to 65,537 (363), at 144,958 (539) and 393,209 (891), and
-    # even elsewhere, 1440 at 1,000,003. The partial last row reaches the
-    # mirrored columns at 65,536 and 65,537 (196 and 197 of 363), 144,958
-    # (506 of 539) and 300,000 (512 of 784).
-    @pytest.mark.parametrize(
-        "n",
-        [65_489, SPLIT_N, SPLIT_N + 1, 131_072, 131_101, 144_958, 262_139, 300_000,
-         393_209, 1_000_003],
-    )
-    def test_planar_half_spectrum_is_the_complex_one_bit_for_bit(self, n):
-        assert _factor(n)[1] > 1
+    @pytest.mark.parametrize("n, cases", STORAGE_CASES, ids=[str(n) for n, _ in STORAGE_CASES])
+    def test_planar_half_spectrum_is_the_complex_one_bit_for_bit(self, n, cases):
+        assert cases <= storage_cases(n)
         x = noisy_sine(n, n)
         ours = autocorrelation(validate_series(x)).values
         assert ours.tobytes() == complex_spectrum_acf(x).tobytes()
 
     def test_twiddle_tables_give_every_twiddle_within_a_few_ulp(self):
-        # n2 = 539 splits as b = 23q + r over 24 coarse steps, 13 past n2.
-        n1, n2 = _factor(144_958)
+        # n2 = 375 splits as b = 19q + r over 20 coarse steps, 5 past n2.
+        n1, n2 = _factor(69_990)
         twiddles = twiddle_rows(_twiddle_tables(n1, n2), 0, n1 // 2 + 1, n2)
         # The reference angle is rounded once, in extended precision where
         # the platform has it.
@@ -268,7 +328,7 @@ class TestSplitTransform:
         error = np.hypot(twiddles.real - np.cos(angle), twiddles.imag + np.sin(angle))
         assert error.max() <= 4 * np.finfo(float).eps
 
-    @pytest.mark.parametrize("n", [144_958, 1_000_003])
+    @pytest.mark.parametrize("n", [69_990, 1_000_003])  # odd and even n2
     def test_inverse_column_pass_transforms_half_the_columns(self, n, monkeypatch):
         # The lags are even, so the columns past n2//2 are mirrors, not transforms.
         n1, n2 = _factor(n)

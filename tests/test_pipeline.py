@@ -291,9 +291,9 @@ class TestDetectSeasonLength:
         assert self.traced_peak_in_upsampled_arrays(100_000) <= 5
 
     def test_peak_traced_memory_at_a_million_samples(self):
-        # About 2.37 arrays: the buffer, which also holds the real half of
+        # About 2.36 arrays: the buffer, which also holds the real half of
         # the half-spectrum, its imaginary half and column blocks of
-        # 128 x 2880 values. The half-spectrum as one complex array beside
+        # 128 x 2560 values. The half-spectrum as one complex array beside
         # the buffer took it to 3.34, and a whole-length time index, kept
         # from the trend fit to the autocorrelation's line fit, to 4.1.
         assert self.traced_peak_in_upsampled_arrays(1_000_000) <= 2.6
@@ -302,7 +302,7 @@ class TestDetectSeasonLength:
         # Upsampling and both filter passes stream through the one output
         # array: about 1.02 arrays, where a whole forward output and its
         # reversed copy took it to 3.0. The autocorrelation, with the
-        # buffer it works in, takes about 2.37.
+        # buffer it works in, takes about 2.36.
         spec = design_butterworth_lowpass(2, 0.001 * math.pi)
         assert self.traced_peak_in_upsampled_arrays(
             1_000_000, lambda series: _smooth(series.values, 4, spec)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from seasonlen.autocorr import autocorrelation, detrend_acf
 from seasonlen.core import TimeSeries, validate_series
 from seasonlen.zerocross import (
+    _BLOCK,
     change_points,
     estimate_from_zeros,
     find_zeros,
@@ -122,6 +123,23 @@ class TestFindZerosAcrossBlocks:
         # The run at lag 0 centres on 1.0; the one at the end on the middle
         # of its last two lags.
         assert find_zeros(detrended(values), 1e-4).tolist() == [1.0, values.size - 1.5]
+
+
+class TestSignChangesAcrossBlocks:
+    """Sign changes around the edges of the sign-change pass's _BLOCK lags."""
+
+    @pytest.mark.parametrize("flip", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_sign_change_at_a_block_edge(self, flip):
+        values = np.ones(2 * _BLOCK + 5)
+        values[flip:] = -1.0
+        assert find_zeros(detrended(values), 1e-4).tolist() == [flip - 0.5]
+
+    @pytest.mark.parametrize("size", [_BLOCK + 1, 2 * _BLOCK + 1, 2 * _BLOCK + 2])
+    def test_sign_change_at_the_last_lag(self, size):
+        # The lag pairs fill whole blocks, or leave one pair for the last.
+        values = np.ones(size)
+        values[-1] = -1.0
+        assert find_zeros(detrended(values), 1e-4).tolist() == [size - 1.5]
 
 
 lag_values = st.one_of(
