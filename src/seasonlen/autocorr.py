@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from seasonlen.core import TimeSeries, ZeroVarianceError, _nonfinite_error
+from seasonlen.core import TimeSeries, ZeroVarianceError, _exponent
 from seasonlen.detrend import _remove_polynomial
 
 __all__ = ["autocorrelation", "detrend_acf"]
@@ -45,19 +45,20 @@ def autocorrelation(series: TimeSeries) -> TimeSeries:
     """Normalized autocorrelation of a series at every lag.
 
     The mean is removed first; without that step the lagged-product sum
-    of any offset series never crosses zero. The centered series is then
-    scaled by the power of two that brings its largest magnitude into
-    [0.5, 1), so the squared spectrum neither overflows nor underflows at
-    any float64 scale; a power of two scales every FFT step exactly, so
-    the normalized result does not change. Normalization by the lag-0
-    value puts the result in [-1, 1] with value 1 at lag 0. The result
-    is indexed by lag and keeps the input's sampling interval.
+    of any offset series never crosses zero. The series, and then the
+    centred series, is scaled by the power of two that brings its
+    largest magnitude into [0.5, 1), so neither the mean nor the squared
+    spectrum overflows or underflows at any float64 scale; a power of
+    two scales every FFT step exactly, so the result does not change.
+    Normalization by the lag-0 value puts the result in [-1, 1] with
+    value 1 at lag 0. The result is indexed by lag and keeps the input's
+    sampling interval.
 
     Raises:
-        NonFiniteError: the series is so large that centring it overflows.
         ZeroVarianceError: the series is constant.
     """
-    values = series.values.copy()
+    x = series.values
+    values = np.ldexp(x, -_exponent(x.max(), x.min()))
     _autocorrelation_in_place(values)
     return TimeSeries(values, series.delta)
 
@@ -209,12 +210,12 @@ def _column_lags(x: np.ndarray, tail: np.ndarray, imag: np.ndarray, n1: int) -> 
 def _autocorrelation_in_place(x: np.ndarray) -> None:
     """autocorrelation on a plain array, overwriting it with the result.
 
-    A non-finite or zero peak of the centred series raises before any
-    transform and before x is written (the lag-0 value is finite and
-    positive exactly when the peak is). The zero-padded transform of
-    length n1 * n2 is a four-step FFT (Bailey 1990) over x viewed as a
-    grid with n2 columns and zero rows after it: length-n1 real FFTs
-    down the columns (_column_spectra), a twiddle factor, length-n2 FFTs
+    A zero peak of the centred series raises before any transform and
+    before x is written (the lag-0 value is positive exactly when the
+    peak is). The zero-padded transform of length n1 * n2 is a four-step
+    FFT (Bailey 1990) over x viewed as a grid with n2 columns and zero
+    rows after it: length-n1 real FFTs down the columns
+    (_column_spectra), a twiddle factor, length-n2 FFTs
     along cache-sized blocks of rows, |X|**2, and the same steps back;
     _column_lags writes the normalized lags below n into x. Each row
     block is built from the two planes; its power is real, so the
@@ -229,8 +230,6 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
     mean = x.mean()
     # Rounding is monotone, so these are the extremes of the centred x.
     peak = max(x.max() - mean, mean - x.min())
-    if not math.isfinite(peak):
-        raise _nonfinite_error(x - mean)
     if peak == 0.0:
         raise ZeroVarianceError("constant series has no autocorrelation structure")
     scale = -int(np.frexp(peak)[1])

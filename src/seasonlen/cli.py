@@ -436,12 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse takes --name=-- for an empty list of values
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
-        # Detection raises NonFiniteError where huge input overflows; numpy's
-        # warnings on the way there would add lines before the one error line.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        return args.func(args)
     except (DetectionError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -5,11 +5,11 @@ validated once, where it enters: TimeSeries checks the observations and
 DetectionConfig the tuning constants, down to the filter design they
 name; after that, detection checks only that the series is long
 enough, and works on plain arrays it owns without re-validating them.
-Two checks of values it computes anyway, the range of the filtered
-series and the peak of the centred series the autocorrelation starts
-from, raise NonFiniteError when huge input overflows. Stage functions
-that take a bare number or array still check it, so each stays callable
-on its own; each wraps its output in a new TimeSeries.
+Detection, the baseline and the autocorrelation scale the raw values
+by the power of two that brings their largest magnitude into [0.5, 1),
+so no finite input overflows. Stage functions that take a bare number
+or array still check it, so each stays callable on its own; each wraps
+its output in a new TimeSeries.
 
 DetectionError means the input data is bad, and each subclass names a
 condition a caller can act on. A bad argument raises ValueError.
@@ -61,16 +61,6 @@ class NonFiniteError(DetectionError):
     def __reduce__(self) -> tuple:
         # The default rebuilds from args, the message, not the index.
         return type(self), (self.index,)
-
-
-def _nonfinite_error(values: np.ndarray) -> NonFiniteError:
-    """NonFiniteError at the first NaN or infinity in values.
-
-    Index 0 stands for a result that overflowed although every value
-    behind it is finite, such as the range or the sum of huge values.
-    """
-    bad = np.flatnonzero(~np.isfinite(values))
-    return NonFiniteError(int(bad[0]) if bad.size else 0)
 
 
 class NonPositiveDeltaError(DetectionError):
@@ -138,6 +128,11 @@ def validate_series(raw, delta: float = 1.0) -> TimeSeries:
             f"detection needs at least {MIN_DETECTION_LENGTH} observations, got {arr.size}"
         )
     return TimeSeries(arr, delta)
+
+
+def _exponent(hi: float, lo: float) -> int:
+    """The e for which 2**-e scales the largest magnitude in [lo, hi], exactly, into [0.5, 1)."""
+    return math.frexp(max(hi, -lo))[1]
 
 
 def _shown(value) -> str:

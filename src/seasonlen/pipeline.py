@@ -13,6 +13,8 @@ comparison baseline by the evaluation harness.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from seasonlen.autocorr import _autocorrelation_in_place
@@ -24,7 +26,7 @@ from seasonlen.core import (
     TimeSeries,
     TooShortError,
     ZeroVarianceError,
-    _nonfinite_error,
+    _exponent,
 )
 from seasonlen.detrend import _detrend_in_place, _remove_polynomial
 from seasonlen.preprocess import _smooth, design_butterworth_lowpass
@@ -63,13 +65,14 @@ def detect_season_length(
     too few autocorrelation zeros exist, no usable zero distance
     survives, or the estimate would be shorter than two observations.
     The result is deterministic: identical input and configuration give
-    an identical result.
+    an identical result. The values are first scaled, exactly, by the
+    power of two 2**-e that brings them into (-1, 1), so no finite input
+    overflows; the trend threshold, which bounds a squared gap, drops by
+    2e*ln 2 to match.
 
     Raises:
         TooShortError: fewer than 4 observations, or too few for the
             filter edges once upsampled.
-        NonFiniteError: values so large that the filtered series, its
-            range or its autocorrelation overflows.
     """
     if config is None:
         config = DetectionConfig()
@@ -82,15 +85,12 @@ def detect_season_length(
     # filter streams through it, later kernels overwrite it, and the trend
     # fits build their time index in blocks, so no other array that long is kept.
     spec = design_butterworth_lowpass(config.filter_order, config.filter_cutoff)
-    values = _smooth(series.values, config.interp_factor, spec)
-
-    spread = np.ptp(values)
-    if not np.isfinite(spread):
-        raise _nonfinite_error(values)
-    if spread == 0.0:
+    e = _exponent(series.values.max(), series.values.min())
+    values = _smooth(np.ldexp(series.values, -e), config.interp_factor, spec)
+    if np.ptp(values) == 0.0:
         return _result(1)
 
-    degree = _detrend_in_place(values, config.trend_log_threshold)
+    degree = _detrend_in_place(values, config.trend_log_threshold - 2 * e * math.log(2))
 
     try:
         _autocorrelation_in_place(values)
@@ -148,13 +148,16 @@ def baseline_periodogram(series: TimeSeries) -> float | None:
     Removes a linear trend, takes the discrete power spectrum, and
     converts the strongest bin into a period. Intentionally simple: it
     exists to give the evaluation harness a second column, not to be a
-    competitive detector.
+    competitive detector. Scaled as in detect_season_length, no finite
+    input overflows the power.
     """
-    x = series.values.copy()
+    x = series.values
     if x.size < 16:
         raise TooShortError(f"baseline needs at least 16 observations, got {x.size}")
-    if np.ptp(x) == 0.0:
+    hi, lo = x.max(), x.min()
+    if hi == lo:
         return None
+    x = np.ldexp(x, -_exponent(hi, lo))
     _remove_polynomial(x, 1)
     power = np.abs(np.fft.rfft(x)) ** 2
     peak = int(np.argmax(power))

@@ -18,7 +18,7 @@ from seasonlen.autocorr import (
     autocorrelation,
     detrend_acf,
 )
-from seasonlen.core import NonFiniteError, TimeSeries, ZeroVarianceError, validate_series
+from seasonlen.core import TimeSeries, ZeroVarianceError, validate_series
 
 #: Half the threshold: _fast_len(2n) == _SPLIT_NFFT, so the transform is split.
 SPLIT_N = _SPLIT_NFFT // 2
@@ -347,10 +347,15 @@ class TestSplitTransform:
         with pytest.raises(ZeroVarianceError):
             autocorrelation(validate_series(np.full(SPLIT_N + 1, 4.0)))
 
-    def test_overflowing_mean_raises_non_finite(self):
+    def test_huge_mean_scales_exactly(self):
+        # Unscaled, the sum behind the mean overflows. The values are scaled
+        # by a power of two first, so the result is bit for bit that of
+        # their copy times 2**-1000, with no RuntimeWarning on the way.
         x = 1e308 + 1e306 * np.sin(2 * np.pi * np.arange(SPLIT_N + 1) / 100)
-        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError):
-            autocorrelation(validate_series(x))
+        acf = autocorrelation(validate_series(x)).values
+        assert np.all(np.isfinite(acf))
+        scaled = autocorrelation(validate_series(np.ldexp(x, -1000))).values
+        assert acf.tobytes() == scaled.tobytes()
 
 
 class TestDetrendAcf:

@@ -495,17 +495,20 @@ class TestDetectCommand:
             "error: ValueError: --delta 1e+306 scales the season length past the float range\n"
         )
 
-    def test_overflow_inside_detection_prints_one_error_line(self, tmp_path, capsys):
-        # The values are finite, but their sum and the autocorrelation's peak
-        # overflow. The suite raises RuntimeWarnings, so a numpy warning on
-        # the way fails this test instead of printing lines before the error.
+    def test_huge_finite_input_detects(self, tmp_path, capsys):
+        # Unscaled, the values' sum and the autocorrelation's peak overflow.
+        # The suite raises RuntimeWarnings, so a numpy warning on the way
+        # fails this test instead of printing lines beside the result.
         path = tmp_path / "huge.csv"
         values = 1e307 * np.sin(2 * np.pi * np.arange(2000) / 100)
         path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
-        assert main(["detect", "--input", str(path)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: NonFiniteError: non-finite value at index 0"
-        ]
+        assert main(["detect", "--input", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {out}"))
+        assert set(payload) == {
+            "season_length", "unscaled_length", "trend_degree", "zeros", "interval_size"
+        }
 
     @pytest.mark.parametrize("command", [["detect", "--input", "x.csv"], ["eval", "m.jsonl"]])
     def test_min_zero_count_reaches_the_config(self, command):
@@ -527,6 +530,35 @@ class TestDetectCommand:
             main(command + ["--min-zero-count", "2.5"])
         assert exit_info.value.code == 2
         assert "--min-zero-count: invalid int value: '2.5'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(command, action.option_strings[0])
+         for command in ("detect", "eval")
+         for action in build_parser()._subparsers._group_actions[0].choices[command]._actions
+         if action.option_strings and action.nargs is None],
+    )
+    def test_an_option_given_as_double_dash_exits_2(self, tmp_path, capsys, command, option):
+        # argparse 3.11 hands an option written --name=-- an empty list,
+        # which used to end in a traceback or in a message about "[]". The
+        # input is valid, so a value that gets past parsing reaches its use.
+        write_sine_csv(tmp_path / "sine.csv", 24, 96)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(
+            {"path": "sine.csv", "reference": 24, "family": "Sine", "case": "a"}) + "\n")
+        args = {"detect": ["detect", "--input", str(tmp_path / "sine.csv")],
+                "eval": ["eval", str(manifest), "--out", str(tmp_path / "records.jsonl")]}[command]
+        try:
+            code = main(args + [f"{option}=--"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        last = err.splitlines()[-1]
+        assert "[]" not in err
+        assert last == f"seasonlen: error: argument {option}: expected one argument" or (
+            last.startswith("error: ")  # where argparse passes "--" on as the value
+        )
 
     def test_white_noise_reports_null(self, tmp_path, capsys):
         path = tmp_path / "noise.csv"
@@ -789,22 +821,27 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: ValueError: {manifest}:2: want an object")
 
+    @staticmethod
+    def write_nan_csv(path):
+        """A sine CSV whose value at index 7 is nan, which the worker reading it rejects."""
+        values = np.sin(2 * np.pi * np.arange(2000) / 50)
+        values[7] = np.nan
+        path.write_text("\n".join(map(repr, values.tolist())) + "\n")
+
     def test_worker_error_prints_its_message_once(self, tmp_path, capsys):
         # A worker's error reaches the parent pickled; two entries, so the pool runs.
-        values = 1e307 * np.sin(2 * np.pi * np.arange(2000) / 50)
-        (tmp_path / "huge.csv").write_text("\n".join(map(repr, values.tolist())) + "\n")
+        self.write_nan_csv(tmp_path / "nan.csv")
         manifest = tmp_path / "manifest.jsonl"
         manifest.write_text("".join(
-            json.dumps({"path": "huge.csv", "reference": 50, "family": "Sine", "case": case}) + "\n"
+            json.dumps({"path": "nan.csv", "reference": 50, "family": "Sine", "case": case}) + "\n"
             for case in "ab"))
         assert main(["eval", str(manifest), "--jobs", "2"]) == 2
-        assert capsys.readouterr().err == "error: NonFiniteError: non-finite value at index 0\n"
+        assert capsys.readouterr().err == "error: NonFiniteError: non-finite value at index 7\n"
 
-    @pytest.mark.parametrize("huge_first", [True, False], ids=["overflow-first", "missing-first"])
-    def test_parallel_run_reports_the_error_a_serial_run_does(self, tmp_path, capsys, huge_first):
-        values = 1e307 * np.sin(2 * np.pi * np.arange(2000) / 50)
-        (tmp_path / "huge.csv").write_text("\n".join(map(repr, values.tolist())) + "\n")
-        paths = ["huge.csv", "missing.csv"] if huge_first else ["missing.csv", "huge.csv"]
+    @pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "missing-first"])
+    def test_parallel_run_reports_the_error_a_serial_run_does(self, tmp_path, capsys, nan_first):
+        self.write_nan_csv(tmp_path / "nan.csv")
+        paths = ["nan.csv", "missing.csv"] if nan_first else ["missing.csv", "nan.csv"]
         manifest = tmp_path / "manifest.jsonl"
         manifest.write_text("".join(
             json.dumps({"path": path, "reference": 50, "family": "Sine", "case": path}) + "\n"
@@ -813,7 +850,7 @@ class TestEvalCommand:
         for jobs in ("1", "2"):
             assert main(["eval", str(manifest), "--jobs", jobs]) == 2
             errors.append(capsys.readouterr().err)
-        expected = ("error: NonFiniteError: " if huge_first else "error: FileNotFoundError: ")
+        expected = ("error: NonFiniteError: " if nan_first else "error: FileNotFoundError: ")
         assert errors[0] == errors[1] and errors[0].startswith(expected)
         assert errors[0].count("\n") == 1
 

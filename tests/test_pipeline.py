@@ -11,9 +11,7 @@ from seasonlen.autocorr import _autocorrelation_in_place, autocorrelation, detre
 from seasonlen.core import (
     DetectionConfig,
     DetectionDiagnostics,
-    DetectionError,
     DetectionResult,
-    NonFiniteError,
     TimeSeries,
     TooShortError,
     ZeroVarianceError,
@@ -35,7 +33,7 @@ from seasonlen.preprocess import (
     interpolate_linear,
 )
 from seasonlen.synthgen import FAMILY_NAMES, gen_family
-from seasonlen.zerocross import estimate_from_zeros, find_zeros
+from seasonlen.zerocross import estimate_from_zeros, find_zeros, season_from_interval
 
 PATTERN = [0, 2, 1, 2]
 
@@ -112,6 +110,19 @@ class TestDetectSeasonLength:
         assert not result.is_seasonal
         assert result.trend_degree == 1
         assert result.diagnostics == DetectionDiagnostics()
+
+    def test_an_estimate_below_min_season_is_no_season(self):
+        # Nine alternating values, upsampled by 2 and barely filtered: the
+        # zeros sit about 2 upsampled lags apart, so the window of 4
+        # distances estimates 1.963 raw samples, under MIN_SEASON.
+        config = DetectionConfig(interp_factor=2, filter_order=1, filter_cutoff=0.9 * math.pi)
+        result = detect_season_length(validate_series(np.tile([1.0, -1.0], 5)[:9]), config)
+        diagnostics = result.diagnostics
+        assert not result.is_seasonal
+        assert diagnostics == DetectionDiagnostics(zero_count=7, interval=(1, 5), member_count=4)
+        estimate = season_from_interval(diagnostics.distances, *diagnostics.interval, 2)
+        assert estimate == pytest.approx(1.963, abs=5e-4)
+        assert estimate < MIN_SEASON
 
     def test_white_noise_is_no_season(self):
         noise = np.random.default_rng(12).normal(0, 1, 600)
@@ -238,28 +249,37 @@ class TestDetectSeasonLength:
                 assert np.array_equal(got, want), (label, name)
             assert series.values.tobytes() == before.tobytes(), label
 
+    @staticmethod
+    def assert_detects_as_its_scaled_copy(values):
+        # Detection scales the raw values by a power of two where they
+        # enter, so finite input overflows no stage and detects as its copy
+        # times 2**-1000 does, once the trend threshold, which bounds a
+        # squared gap, is lowered by 1000 * ln 4. The suite turns numpy's
+        # RuntimeWarnings into errors, so an overflow on the way fails too.
+        config = DetectionConfig()
+        lowered = DetectionConfig(
+            trend_log_threshold=config.trend_log_threshold - 1000 * math.log(4.0)
+        )
+        result = detect_season_length(validate_series(values), config)
+        assert result == detect_season_length(validate_series(np.ldexp(values, -1000)), lowered)
+
     @pytest.mark.parametrize(
         "values",
         [np.tile([1e308, -1e308], 200),
          1.5e308 * np.sin(2 * np.pi * np.arange(2000) / 100)],
         ids=["alternating-1e308", "sine-1.5e308"],
     )
-    def test_overflow_raises_non_finite(self, values):
-        # Upsampling the first overflows the differences between
-        # neighbours; the second's range and sum overflow. Either way the
-        # stages compute infinities from finite input, which must not end
-        # in a silent no-season result.
-        series = validate_series(values)
-        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError):
-            detect_season_length(series)
+    def test_huge_input_detects_as_its_scaled_copy(self, values):
+        # Unscaled, upsampling the first overflows the differences between
+        # neighbours, and the second's range and sum overflow.
+        self.assert_detects_as_its_scaled_copy(values)
 
-    def test_overflowing_mean_is_caught_at_the_autocorrelation(self):
-        # A range that fits in float64 passes the filter check, but the
-        # sum behind the mean overflows and turns the residual into NaN.
-        values = 1e308 + 1e306 * np.sin(2 * np.pi * np.arange(2000) / 100)
-        series = validate_series(values)
-        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError):
-            detect_season_length(series)
+    def test_huge_mean_detects_as_its_scaled_copy(self):
+        # A range that fits in float64, but unscaled, the sum behind the
+        # mean overflows.
+        self.assert_detects_as_its_scaled_copy(
+            1e308 + 1e306 * np.sin(2 * np.pi * np.arange(2000) / 100)
+        )
 
     @staticmethod
     def traced_peak_in_upsampled_arrays(n, stage=detect_season_length):
@@ -435,33 +455,36 @@ class TestDetectionProperties:
         noise=st.floats(min_value=0.0, max_value=2.0),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         threshold=st.floats(min_value=-50.0, max_value=100.0),
-        k=st.integers(min_value=-30, max_value=30),
+        k=st.integers(min_value=-1100, max_value=1100),
     )
     @settings(max_examples=30, deadline=None)
     def test_a_binary_scale_only_shifts_the_trend_threshold(
         self, n, period, slope, curve, noise, seed, threshold, k
     ):
-        # Far from subnormals and overflow, scaling by c = 2**k is exact:
-        # every stage's values scale by c until the autocorrelation's
-        # normalisation takes it out, and the trend rule's squared-error
+        # Where every nonzero value stays normal and finite, scaling by
+        # c = 2**k is exact, and detection scales its input to the same
+        # values in [0.5, 1) whatever c is. The trend rule's squared-error
         # gap scales by c**2 = 4**k. So the degree is non-decreasing in |c|
         # at a fixed threshold, and shifting the threshold by k * ln 4
         # gives back the same result (unless the log gap lies within
-        # rounding, about 1e-14, of the threshold).
+        # rounding, about 1e-13, of the threshold).
         t = np.linspace(0.0, 1.0, n)
         x = (np.sin(2 * np.pi * np.arange(n) / period) + slope * t + curve * t**2
              + np.random.default_rng(seed).normal(0.0, noise, n))
+        exponents = np.frexp(x[x != 0.0])[1]  # 2**(e-1) <= |v| < 2**e
+        assume(exponents.min() + k - 1 >= -1022 and exponents.max() + k <= 1024)
         plain = detect_season_length(
             validate_series(x), DetectionConfig(trend_log_threshold=threshold)
         )
         scaled = detect_season_length(
-            validate_series(x * 2.0**k),
+            validate_series(np.ldexp(x, k)),
             DetectionConfig(trend_log_threshold=threshold + k * math.log(4.0)),
         )
         assert scaled == plain
 
     @given(
-        values=st.lists(st.floats(min_value=-1e150, max_value=1e150), min_size=4, max_size=200),
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4,
+                        max_size=200),
         interp_factor=st.integers(min_value=1, max_value=16),
         filter_order=st.integers(min_value=1, max_value=40),
         filter_cutoff=st.floats(min_value=0.0, max_value=math.pi, exclude_min=True,
@@ -475,16 +498,29 @@ class TestDetectionProperties:
     @settings(max_examples=60, deadline=None)
     def test_a_config_that_builds_detects_or_raises_a_detection_error(self, values, **fields):
         # A config is rejected when it is built or it works: on finite
-        # input, detection returns a result or names bad data.
+        # input of any scale, detection returns a result or finds the
+        # series too short for its filter, and nothing overflows (the
+        # suite turns numpy's RuntimeWarnings into errors). The baseline
+        # and the autocorrelation take the same values.
         try:
             config = DetectionConfig(**fields)
         except ValueError:
             assume(False)
+        series = validate_series(values)
         try:
-            result = detect_season_length(validate_series(values), config)
-        except DetectionError:
-            return
-        assert isinstance(result, DetectionResult)
+            result = detect_season_length(series, config)
+        except TooShortError:
+            pass
+        else:
+            assert isinstance(result, DetectionResult)
+        if len(series) >= 16:
+            baseline = baseline_periodogram(series)
+            assert baseline is None or math.isfinite(baseline)
+            if series.values.min() == series.values.max():
+                with pytest.raises(ZeroVarianceError):
+                    autocorrelation(series)
+            else:
+                assert np.all(np.isfinite(autocorrelation(series).values))
 
 
 class TestExactSeasonOracle:
