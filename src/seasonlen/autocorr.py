@@ -1,26 +1,26 @@
 """Normalized autocorrelation and its secondary linear detrending.
 
 The autocorrelation is the mean-removed, biased estimator normalized by
-its lag-0 value, so values lie in [-1, 1] and taper toward high lags.
-It is computed through a zero-padded real FFT in O(n log n) and agrees
-with the direct lagged-product sum to within accumulation error. From a
+its lag-0 value, so values lie in [-1, 1] and taper toward high lags. It
+is computed through a zero-padded real FFT in O(n log n) and agrees with
+the direct lagged-product sum to within accumulation error. From a
 transform length of 2**17 the FFT is factored as n1 x n2 (the four-step
-FFT, 5-smooth for pocketfft's real radices, n2 with at most 2**5 against
-row-stride aliasing): batches of short transforms over the columns and
-rows of the series, each batch small enough to stay in cache, in place
-of one transform that streams the whole zero-padded array through memory
-in every radix pass. The column batches are copied, transposed, into one
-contiguous buffer of 128 rows, so every transform runs along
-contiguous rows; the series is centred and scaled in that buffer, not
-in separate passes over its whole length. The (n1/2 + 1) x n2
-half-spectrum is two real planes: the real one is the series' own grid,
-whose cells each column batch copies out before writing them, plus a
-few tail rows; the imaginary one is the only new series-sized array.
-The autocorrelation is real and even, so half the inverse suffices:
-each row's real power, by its conjugated real FFT, gives the first
-n2//2 + 1 columns; only those go down, and each fills its mirror column.
-Shorter series run the one monolithic transform. Every transform is
-numpy.fft's pocketfft.
+FFT, n2 with at most 2**5 against row-stride aliasing): batches of short
+transforms over the columns and rows of the series, each batch small
+enough to stay in cache, in place of one transform that streams the
+whole zero-padded array through memory in every radix pass. The column
+batches are copied, transposed, into one contiguous buffer of 128 rows,
+so every transform runs along contiguous rows; the series is centred and
+scaled in that buffer, not in separate passes over its whole length. The
+(n1/2 + 1) x n2 half-spectrum is two real planes: the real one is the
+series' own grid, whose cells each column batch copies out before
+writing them, plus a few tail rows; the imaginary one is the only new
+series-sized array. The autocorrelation is real and even, so half the
+inverse suffices: each row's real power, by its conjugated real FFT,
+gives the first n2//2 + 1 columns; only those go down, and each fills
+its mirror column. Shorter series run the one monolithic transform.
+Every transform is numpy.fft's pocketfft, at a 5-smooth length: its real
+FFT has radix passes for 2 to 5 only.
 
 Even a well-detrended series leaves the autocorrelation with a small
 residual tilt; a second linear regression over the lags removes it so
@@ -30,7 +30,6 @@ that zero crossings are measured against the true axis.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 
 import numpy as np
@@ -66,7 +65,7 @@ def autocorrelation(series: TimeSeries) -> TimeSeries:
 #: Transform length from which the ACF runs as a four-step FFT: its median
 #: time over the monolithic one's (two sets of 9 interleaved runs, 2 vCPUs)
 #: read 0.72-0.83 at 2**17 and 0.48-0.78 up to 262,440. It won from 80,190
-#: too (0.64-0.82), but the longest suite case (nfft 104,544) stays monolithic.
+#: too (0.64-0.82), but the longest suite case (nfft 104,976) stays monolithic.
 _SPLIT_NFFT = 1 << 17
 
 #: Columns per block of the four-step column passes: at 4e6 points
@@ -78,16 +77,16 @@ _COLUMN_BLOCK = 128
 _SPLIT_BLOCK = 1 << 15
 
 
-@functools.lru_cache(maxsize=128)
 def _factor(n: int) -> tuple[int, int]:
     """Transform length n1 * n2 >= 2n for the ACF of n values, as (n1, n2).
 
-    n2 == 1 is the unsplit transform of length _fast_len(2n). A split
-    has 5-smooth factors (real FFTs took 3.8 ns per value at n2 = 2835,
-    2.5 at 5-smooth n2) and at most 2**5 in n2 (n2 = 2048 to 4096 took
-    135 to 146 ms at 4e6 points, 2560 x 3125 118); of the pairs with n2
-    in [sqrt(2n)/2, 2 sqrt(2n)] the least product wins, then the squarer.
-    The search costs 8 to 80 us; 128 memo entries hold every suite length.
+    n2 == 1 is the unsplit transform of length _fast_len(2n), which
+    splits from _SPLIT_NFFT on (n >= 64,801). A split has the same
+    5-smooth factors (real FFTs took 3.8 ns per value at n2 = 2835, 2.5
+    at 5-smooth n2) and at most 2**5 in n2 (n2 = 2048 to 4096 took 135
+    to 146 ms at 4e6 points, 2560 x 3125 118); of the pairs with n2 in
+    [sqrt(2n)/2, 2 sqrt(2n)] the least product wins, then the squarer.
+    The search takes 0.11 ms at 4e6 values, so it is not memoised.
     """
     nfft = _fast_len(2 * n)
     if nfft < _SPLIT_NFFT:
@@ -104,26 +103,21 @@ def _factor(n: int) -> tuple[int, int]:
 
 
 def _fast_len(target: int) -> int:
-    """The least 11-smooth length >= target.
+    """The least 5-smooth length >= target: scipy.fft.next_fast_len(target, real=True).
 
-    pocketfft's good_size, as scipy.fft.next_fast_len(target) gives it.
-    The power of two >= target is the first candidate. Every product f
-    of powers of 5, 7 and 11 below it is walked up by factors of 3, and
-    each f * 3**j is doubled to the least such multiple >= target.
+    The power of two >= target is the first candidate. Every power of 5
+    below it is walked up by factors of 3, and each f * 3**j is doubled
+    to the least such multiple >= target.
     """
     below = target - 1
     best = 1 << below.bit_length()
-    factors = [1]
-    for p in (5, 7, 11):
-        for f in list(factors):
-            while (f := f * p) < best:
-                factors.append(f)
-    for f in factors:
+    five = 1
+    while five < best:
+        f = five
         while f < best:
-            candidate = f << (below // f).bit_length()
-            if candidate < best:
-                best = candidate
+            best = min(best, f << (below // f).bit_length())
             f *= 3
+        five *= 5
     return best
 
 
@@ -210,29 +204,29 @@ def _column_lags(x: np.ndarray, tail: np.ndarray, imag: np.ndarray, n1: int) -> 
 def _autocorrelation_in_place(x: np.ndarray) -> None:
     """autocorrelation on a plain array, overwriting it with the result.
 
-    A zero peak of the centred series raises before any transform and
-    before x is written (the lag-0 value is positive exactly when the
-    peak is). The zero-padded transform of length n1 * n2 is a four-step
-    FFT (Bailey 1990) over x viewed as a grid with n2 columns and zero
-    rows after it: length-n1 real FFTs down the columns
-    (_column_spectra), a twiddle factor, length-n2 FFTs
-    along cache-sized blocks of rows, |X|**2, and the same steps back;
-    _column_lags writes the normalized lags below n into x. Each row
-    block is built from the two planes; its power is real, so the
-    conjugate of its real FFT is the inverse's first n2//2 + 1 columns:
-    times the twiddle, their real and negated imaginary parts go back
-    into the planes' first columns, in rows the pass has already read.
-    Both inverses are unscaled: dividing by lag 0 takes out their factor
-    n1 * n2. Short series (n2 == 1) are centred and scaled in place and
-    run the one real FFT of length _fast_len(2n) and its inverse.
+    A constant x (max == min; its mean can round off the constant) raises
+    before any transform and before x is written. Otherwise an extreme of
+    the centred x is nonzero, so lag 0 is positive; 2**scale brings the
+    larger into [0.5, 1). The zero-padded transform of length n1 * n2 is a
+    four-step FFT (Bailey 1990) over x viewed as a grid with n2 columns and
+    zero rows after it: length-n1 real FFTs down the columns
+    (_column_spectra), a twiddle factor, length-n2 FFTs along cache-sized
+    blocks of rows, |X|**2, and the same steps back; _column_lags writes the
+    normalized lags below n into x. Each row block is built from the two
+    planes; its power is real, so the conjugate of its real FFT is the
+    inverse's first n2//2 + 1 columns: times the twiddle, their real and
+    negated imaginary parts go back into the planes' first columns, in rows
+    the pass has already read. Both inverses are unscaled: dividing by lag 0
+    takes out their factor n1 * n2. Short series (n2 == 1) are centred and
+    scaled in place and run the one real FFT of length _fast_len(2n) and its
+    inverse.
     """
-    n = x.size
+    n, hi, lo = x.size, x.max(), x.min()
+    if hi == lo:
+        raise ZeroVarianceError("constant series has no autocorrelation structure")
     mean = x.mean()
     # Rounding is monotone, so these are the extremes of the centred x.
-    peak = max(x.max() - mean, mean - x.min())
-    if peak == 0.0:
-        raise ZeroVarianceError("constant series has no autocorrelation structure")
-    scale = -int(np.frexp(peak)[1])
+    scale = -_exponent(hi - mean, lo - mean)
     n1, n2 = _factor(n)
     if n2 == 1:
         x -= mean

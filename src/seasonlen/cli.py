@@ -415,13 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--delimiter", default=",")
     detect.add_argument("--delta", type=float, default=1.0, help="sampling interval")
     _add_config_flags(detect)
-    detect.set_defaults(func=cmd_detect)
+    detect.set_defaults(func=cmd_detect, parser=detect)
 
     gen = sub.add_parser("gen", help="generate a benchmark suite")
     gen.add_argument("family", help="family name or 'all'")
     gen.add_argument("--seed", type=int, default=7)
     gen.add_argument("--out", required=True, help="output directory")
-    gen.set_defaults(func=cmd_gen)
+    gen.set_defaults(func=cmd_gen, parser=gen)
 
     evaluate = sub.add_parser("eval", help="score a benchmark manifest")
     evaluate.add_argument("manifest", help="manifest.jsonl produced by gen")
@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--jobs", type=int, default=1, help="parallel workers")
     evaluate.add_argument("--out", default=None, help="where to write per-case records")
     _add_config_flags(evaluate)
-    evaluate.set_defaults(func=cmd_eval)
+    evaluate.set_defaults(func=cmd_eval, parser=evaluate)
 
     return parser
 
@@ -440,7 +440,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for name, value in vars(args).items():
         if isinstance(value, list):  # argparse takes --name=-- for an empty list of values
-            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+            args.parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
     except (DetectionError, OSError, ValueError) as exc:

@@ -135,6 +135,13 @@ def _exponent(hi: float, lo: float) -> int:
     return math.frexp(max(hi, -lo))[1]
 
 
+def _is_count(value) -> bool:
+    """Whether value is a whole number >= 1, not a bool; ints skip float(), which can overflow."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    return (isinstance(value, (int, np.integer)) or float(value).is_integer()) and value >= 1
+
+
 def _shown(value) -> str:
     """value as text, cut short so that a huge number cannot flood a message."""
     text = str(value)
@@ -179,9 +186,7 @@ class DetectionConfig:
         from seasonlen.preprocess import design_butterworth_lowpass  # preprocess imports core
 
         for name in ("interp_factor", "filter_order", "min_zero_count"):
-            value = getattr(self, name)  # a bool is not a count; float() of a huge int overflows
-            whole = isinstance(value, (int, np.integer)) or float(value).is_integer()
-            if isinstance(value, (bool, np.bool_)) or not whole or value < 1:
+            if not _is_count(value := getattr(self, name)):
                 raise ValueError(f"{name} must be an integer >= 1, got {_shown(value)}")
         if (MIN_DETECTION_LENGTH - 1) * int(self.interp_factor) + 1 > _MAX_VALUES:
             raise ValueError(

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from seasonlen.core import _MAX_VALUES, TimeSeries, TooShortError, _shown
+from seasonlen.core import _MAX_VALUES, TimeSeries, TooShortError, _is_count, _shown
 
 __all__ = [
     "FilterSpec",
@@ -49,7 +49,7 @@ def interpolate_linear(series: TimeSeries, factor: int) -> TimeSeries:
     inserted points lie on the straight line between their neighbors.
     A factor of 1 returns the input unchanged.
     """
-    if factor != int(factor) or factor < 1:
+    if not _is_count(factor):
         raise ValueError(f"interpolation factor must be a positive integer, got {factor}")
     if factor == 1:
         return series
@@ -125,7 +125,7 @@ class FilterSpec:
     modes: tuple[FilterMode, ...]
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)  # untyped, True would find the design for 1
 def design_butterworth_lowpass(order: int, cutoff: float) -> FilterSpec:
     """Design a Butterworth low-pass with its half-power point at cutoff.
 
@@ -146,7 +146,7 @@ def design_butterworth_lowpass(order: int, cutoff: float) -> FilterSpec:
             near 0 or pi), a non-finite constant, or a DC gain off 1 by
             more than 1e-6.
     """
-    if order < 1 or order != int(order):
+    if not _is_count(order):
         raise ValueError(f"order must be a positive integer, got {_shown(order)}")
     if not 0.0 < cutoff < math.pi:
         raise ValueError(f"cutoff must lie in (0, pi), got {cutoff}")

@@ -76,6 +76,15 @@ class TestAutocorrelation:
         with pytest.raises(ZeroVarianceError):
             autocorrelation(validate_series([4.0] * 20))
 
+    @given(value=st.floats(allow_nan=False, allow_infinity=False), size=st.integers(2, 50))
+    @example(value=0.7, size=3)  # the mean rounds off these constants
+    @example(value=0.1, size=3)
+    @example(value=0.3, size=10)
+    @settings(max_examples=100, deadline=None)
+    def test_every_constant_series_raises(self, value, size):
+        with pytest.raises(ZeroVarianceError):
+            autocorrelation(TimeSeries(np.full(size, value)))
+
     @given(scale=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
     @settings(max_examples=30, deadline=None)
     def test_scale_invariance(self, scale):
@@ -115,7 +124,7 @@ class TestAutocorrelation:
 def monolithic_acf(values):
     """Independent oracle for long inputs: one zero-padded real FFT."""
     centered = values - values.mean()
-    nfft = scipy.fft.next_fast_len(2 * centered.size)
+    nfft = scipy.fft.next_fast_len(2 * centered.size, real=True)
     power = np.abs(scipy.fft.rfft(centered, nfft))
     np.square(power, out=power)
     raw = scipy.fft.irfft(power, nfft)
@@ -217,7 +226,9 @@ def storage_cases(n):
 #: Split lengths, each with the storage cases of the four-step kernel it is
 #: there to cover (see storage_cases).
 STORAGE_CASES = [
-    (65_489, {"odd n1", "even n2", "one tail row"}),  # the shortest split length
+    # The shortest split length, and a longer one with its 405 x 324 factors.
+    (64_801, {"odd n1", "even n2", "several tail rows", "block of grid and tail"}),
+    (65_489, {"odd n1", "even n2", "one tail row"}),
     (SPLIT_N, {"odd n1", "one tail row"}),
     (SPLIT_N + 1, {"odd n1", "one tail row"}),
     (69_990, {"odd n2", "mirrored partial row", "block of grid and tail"}),
@@ -232,11 +243,12 @@ STORAGE_CASES = [
 
 
 class TestTransformLength:
-    """_fast_len is a port of pocketfft's good_size, so scipy.fft.next_fast_len is its reference."""
+    """_fast_len gives the least 5-smooth length, so scipy.fft.next_fast_len(real=True) is its reference."""
 
     @staticmethod
     def assert_matches_scipy(lengths):
-        assert [_fast_len(n) for n in lengths] == [scipy.fft.next_fast_len(n) for n in lengths]
+        want = [scipy.fft.next_fast_len(n, real=True) for n in lengths]
+        assert [_fast_len(n) for n in lengths] == want
 
     def test_every_length_up_to_ten_thousand(self):
         self.assert_matches_scipy(range(1, 10_001))
@@ -249,13 +261,13 @@ class TestTransformLength:
 
     @pytest.mark.parametrize(
         "n, factors",
-        [(65_488, (130_977, 1)), (65_489, (405, 324)), (3_999_997, (2560, 3125))],
+        [(64_800, (129_600, 1)), (64_801, (405, 324)), (3_999_997, (2560, 3125))],
     )
     def test_factor_on_both_sides_of_the_split(self, n, factors):
         assert _factor(n) == factors
 
-    @given(n=st.integers(min_value=65_489, max_value=5_000_011))
-    @example(n=65_489)  # the shortest split length
+    @given(n=st.integers(min_value=64_801, max_value=5_000_011))
+    @example(n=64_801)  # the shortest split length
     @example(n=SPLIT_N)
     @example(n=1 << 20)
     @example(n=1 << 21)
@@ -302,10 +314,10 @@ class TestSplitTransform:
         ours = autocorrelation(validate_series(x)).values
         assert np.abs(ours - monolithic_acf(x)).max() < 1e-13
 
-    @pytest.mark.parametrize("n", [51_997, 65_488])
+    @pytest.mark.parametrize("n", [51_997, 64_800])
     def test_below_the_threshold_is_the_monolithic_transform_bit_for_bit(self, n):
-        # 51,997 is the longest upsampled suite case; 65,488 is the longest
-        # series whose next_fast_len(2n) stays below the threshold.
+        # 51,997 is the longest upsampled suite case; 64,800 is the longest
+        # series whose next_fast_len(2n, real=True) stays below the threshold.
         assert _factor(n)[1] == 1
         x = noisy_sine(n, 4)
         assert np.array_equal(autocorrelation(validate_series(x)).values, monolithic_acf(x))

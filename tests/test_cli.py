@@ -556,9 +556,16 @@ class TestDetectCommand:
         err = capsys.readouterr().err
         last = err.splitlines()[-1]
         assert "[]" not in err
-        assert last == f"seasonlen: error: argument {option}: expected one argument" or (
+        assert last == f"seasonlen {command}: error: argument {option}: expected one argument" or (
             last.startswith("error: ")  # where argparse passes "--" on as the value
         )
+
+    def test_an_option_given_as_double_dash_shows_the_subcommand_usage(self, tmp_path, capsys):
+        write_sine_csv(tmp_path / "sine.csv", 24, 96)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["detect", "--input", str(tmp_path / "sine.csv"), "--column=--"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: seasonlen detect")
 
     def test_white_noise_reports_null(self, tmp_path, capsys):
         path = tmp_path / "noise.csv"

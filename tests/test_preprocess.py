@@ -59,8 +59,9 @@ class TestInterpolateLinear:
         assert interpolate_linear(series, 4).delta == 0.5
 
     def test_bad_factor(self):
-        with pytest.raises(ValueError):
-            interpolate_linear(TimeSeries(np.array([1.0, 2.0])), 0)
+        for factor in (0, math.inf, True):
+            with pytest.raises(ValueError, match="factor must be a positive integer"):
+                interpolate_linear(TimeSeries(np.array([1.0, 2.0])), factor)
 
     def test_unindexable_length_is_rejected_before_allocating(self):
         # 3 * 2**62 + 1 values: numpy cannot index the output.
@@ -121,7 +122,7 @@ class TestButterworthDesign:
         apply_filter(validate_series(np.sin(np.arange(500.0))), spec)
         assert np.array_equal(spec.sos, sos)
 
-    @pytest.mark.parametrize("order", [0, 1.5])
+    @pytest.mark.parametrize("order", [0, 1.5, math.inf, True])
     def test_order_must_be_a_positive_integer(self, order):
         with pytest.raises(ValueError, match="order must be a positive integer"):
             design_butterworth_lowpass(order, 0.05 * math.pi)
