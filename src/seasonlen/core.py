@@ -224,7 +224,7 @@ class DetectionDiagnostics:
         interval: 1-based half-open bounds (a, b] of the selected distance
             run, or None when segmentation was not reached or not needed.
         member_count: number of distances averaged into the estimate.
-        low_confidence: True when the estimate rests on a single distance.
+        low_confidence: True when exactly one distance survives the cleaning.
         raw_distances: differences between consecutive zeros.
         distances: ascending survivors after discarding distances <= 1.
         change_points: indices where the quotient sequence jumps (1-based

@@ -12,17 +12,18 @@ The quadratic term's share of the squared error is exactly
 c2**2 * sum(q**2), which is all degree selection needs.
 
 t is never built: every pass runs in blocks of 16384 samples, and over
-the block at `start` t = v*r + u with one read-only ramp r = j / 16384
-(j = 0, 1, ...), v = 16384 / n and u = (start - (n-1)/2) / n. The inner
-products are add.reduce sums of the centred block and its products with
-r and r**2, so no BLAS call is made and no thread started; the trend is
-a polynomial in r (in v*r = j/n below one block, where v > 1), taken off
-in place by Horner's rule after its constant term, so it rounds at the
-scale of the variation however far an offset lifts the series.
-_detrend_in_place selects the degree and removes its trend from one set
-of sums; _remove_polynomial runs every other fit in place;
-fit_polynomial and remove_trend copy their input first. Coefficients
-are in the basis of design_matrix, never built here.
+the block at `start` t = s + u, with one step array s = j / n
+(j < min(n, 16384)) shared by a fit's passes and u = (start - (n-1)/2) / n.
+The inner products are add.reduce sums of the centred block c, s*c and
+s*(s*c), so no BLAS call is made and no thread started;
+the trend, a polynomial in s, is taken off in place by Horner's rule
+after its constant term, so it rounds at the scale of the variation
+however far an offset lifts the series. As s and |u| are below 1, no
+coefficient is ever scaled up. The public functions work on a copy
+scaled by the power of two 2**-e that brings it into (-1, 1), as
+detect_season_length does, and scale back what they return, so no
+finite input overflows them. Coefficients are in the basis of
+design_matrix, never built here.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seasonlen.core import TimeSeries
+from seasonlen.core import TimeSeries, _exponent
 
 __all__ = [
     "TrendModel",
@@ -51,7 +52,8 @@ class TrendModel:
         degree: 1 for linear, 2 for quadratic.
         coefficients: constant term first, in the centered time basis of
             design_matrix.
-        cost: mean squared residual of the fit.
+        cost: mean squared residual of the fit; inf when it passes the
+            float maximum.
     """
 
     degree: int
@@ -62,10 +64,9 @@ class TrendModel:
 #: Samples per block of the trend passes: a work array of 128 KiB stays in L2.
 _BLOCK = 1 << 14
 
-#: r = j / _BLOCK and r**2 for j = 0, 1, ..., _BLOCK - 1, both exact.
-_RAMP = np.arange(float(_BLOCK)) / _BLOCK
-_RAMP2 = _RAMP * _RAMP
-_RAMP.flags.writeable = _RAMP2.flags.writeable = False
+#: j = 0, 1, ..., _BLOCK - 1, exact.
+_INDEX = np.arange(float(_BLOCK))
+_INDEX.flags.writeable = False
 
 
 def _check_degree(n: int, degree: int) -> None:
@@ -73,6 +74,17 @@ def _check_degree(n: int, degree: int) -> None:
         raise ValueError(f"only degrees 1 and 2 are supported, got {degree}")
     if n < degree + 1:
         raise ValueError(f"need at least {degree + 1} points, got {n}")
+
+
+def _step(n: int) -> np.ndarray:
+    """s = j * (1/n), j / n within a rounding, for j < min(n, _BLOCK): t = s + u in every block."""
+    return _INDEX[:min(n, _BLOCK)] * (1.0 / n)
+
+
+def _scaled(x: np.ndarray, peak: float = 0.0) -> tuple[np.ndarray, int]:
+    """x times the power of two 2**-e that brings max(|x|, peak) into [0.5, 1), and e."""
+    e = _exponent(max(x.max(), peak), x.min())
+    return np.ldexp(x, -e), e
 
 
 def _t_squared_sum(n: int) -> float:
@@ -85,34 +97,32 @@ def _q_squared_sum(n: int) -> float:
     return (n * n - 1) * (n * n - 4) / (180.0 * n**3)
 
 
-def _inner_products(x: np.ndarray, mean: float, degree: int) -> tuple[float, float, float]:
+def _inner_products(x: np.ndarray, mean: float, degree: int, s) -> tuple[float, float, float]:
     """sum(c) for c = x - mean, sum(t*x) and, for degree 2, sum(q*x); else 0.
 
-    Each block is centred in one work array; s0 = sum(c), s1 = sum(r*c)
-    and s2 = sum(r**2 * c) are summed pairwise from a second. As sum(t)
+    Each block is centred in one work array; s0 = sum(c), s1 = sum(s*c)
+    and s2 = sum(s * (s*c)) are summed pairwise from a second. As sum(t)
     and sum(q) are 0, sum(t*x) = sum(t*c) is the blocks' sum of
-    v*s1 + u*s0, and sum(q*x) = sum(t**2 * c) - mean(t**2) * sum(c) with
-    sum(t**2 * c) their sum of v*(v*s2 + 2*u*s1) + u*u*s0. Centring keeps
-    an offset from cancelling the sums away, sum(c) takes out the mean's
-    rounding, and as r, v*r and |u| are at most 1 no partial sum outgrows
-    the block's sum of |c|: where v > 1 the series is one block and r is
-    at most (n-1)/16384.
+    s1 + u*s0, and sum(q*x) = sum(t**2 * c) - mean(t**2) * sum(c) with
+    sum(t**2 * c) their sum of s2 + 2*u*s1 + u*u*s0. Centring keeps an
+    offset from cancelling the sums away, sum(c) takes out the mean's
+    rounding, and as s and |u| are below 1 no partial sum outgrows the
+    block's sum of |c|.
     """
     n = x.size
-    v = _BLOCK / n
     constant = linear = quadratic = 0.0
-    centred, products = np.empty((2, min(_BLOCK, n)))
+    centred, products = np.empty((2, s.size))
     for start in range(0, n, _BLOCK):
         c = np.subtract(x[start:start + _BLOCK], mean, out=centred[:min(_BLOCK, n - start)])
-        rc = products[:c.size]
+        sc = products[:c.size]
         u = (start - (n - 1) / 2.0) / n
         s0 = float(np.add.reduce(c))
-        s1 = float(np.add.reduce(np.multiply(_RAMP[:c.size], c, out=rc)))
+        s1 = float(np.add.reduce(np.multiply(s[:c.size], c, out=sc)))
         constant += s0
-        linear += v * s1 + u * s0
+        linear += s1 + u * s0
         if degree == 2:
-            s2 = float(np.add.reduce(np.multiply(_RAMP2[:c.size], c, out=rc)))
-            quadratic += v * (v * s2 + 2.0 * u * s1) + u * u * s0
+            s2 = float(np.add.reduce(np.multiply(s[:c.size], sc, out=sc)))
+            quadratic += s2 + 2.0 * u * s1 + u * u * s0
     if degree == 2:
         quadratic -= _t_squared_sum(n) / n * constant
     return constant, linear, quadratic
@@ -154,31 +164,26 @@ def _coefficients(n: int, degree: int, mean: float, sums: tuple) -> tuple[float,
     return mean + (constant - c2 * _t_squared_sum(n)) / n, c1, c2
 
 
-def _subtract_trend_in_place(x: np.ndarray, coefficients) -> None:
+def _subtract_trend_in_place(x: np.ndarray, coefficients, s) -> None:
     """x -= the polynomial with design_matrix coefficients, one block at a time.
 
-    Each block loses c0 first. Over it, t = v*r + u turns c1*t + c2*t**2
-    into b0 + b1*r + b2*r**2, with b2 = c2*v**2, b1 = (c1 + 2*c2*u)*v and
-    b0 = (c1 + c2*u)*u, evaluated by Horner's rule in a work array. Below
-    one block v > 1 would scale b1 and b2 past the float maximum for data
-    near it, so the one block uses the ramp v*r = j/n with v = 1 instead.
+    Each block loses c0 first. Over it, t = s + u turns c1*t + c2*t**2
+    into b0 + b1*s + b2*s**2, with b2 = c2, b1 = c1 + 2*c2*u and
+    b0 = (c1 + c2*u)*u, evaluated by Horner's rule in a work array.
     """
     n = x.size
-    ramp, v = _RAMP, _BLOCK / n
-    if v > 1.0:
-        ramp, v = _RAMP[:n] * v, 1.0
     c0, c1, c2 = (*coefficients, 0.0)[:3]
-    work = np.empty(min(_BLOCK, n))
+    work = np.empty(s.size)
     for start in range(0, n, _BLOCK):
         trend = work[:min(_BLOCK, n - start)]
-        r = ramp[:trend.size]
+        step = s[:trend.size]
         u = (start - (n - 1) / 2.0) / n
         if len(coefficients) == 3:
-            np.multiply(r, c2 * v * v, out=trend)
-            trend += (c1 + 2.0 * c2 * u) * v
-            trend *= r
+            np.multiply(step, c2, out=trend)
+            trend += c1 + 2.0 * c2 * u
+            trend *= step
         else:
-            np.multiply(r, c1 * v, out=trend)
+            np.multiply(step, c1, out=trend)
         trend += (c1 + c2 * u) * u
         block = x[start:start + trend.size]
         block -= c0
@@ -188,12 +193,12 @@ def _subtract_trend_in_place(x: np.ndarray, coefficients) -> None:
 def _detrend_in_place(x: np.ndarray, k_trend: float) -> int:
     """select_trend_degree, then that degree's residual written over x; returns the degree.
 
-    Selection and fit share one mean and one set of sums.
+    Selection and fit share one mean, one step array and one set of sums.
     """
-    mean = float(x.mean())
-    sums = _inner_products(x, mean, 2)
+    mean, s = float(x.mean()), _step(x.size)
+    sums = _inner_products(x, mean, 2, s)
     degree = _degree(sums[2], x.size, k_trend)
-    _subtract_trend_in_place(x, _coefficients(x.size, degree, mean, sums))
+    _subtract_trend_in_place(x, _coefficients(x.size, degree, mean, sums), s)
     return degree
 
 
@@ -203,9 +208,9 @@ def _remove_polynomial(x: np.ndarray, degree: int) -> tuple[float, ...]:
     Returns its design_matrix coefficients; raises as fit_polynomial does.
     """
     _check_degree(x.size, degree)
-    mean = float(x.mean())
-    coefficients = _coefficients(x.size, degree, mean, _inner_products(x, mean, degree))
-    _subtract_trend_in_place(x, coefficients)
+    mean, s = float(x.mean()), _step(x.size)
+    coefficients = _coefficients(x.size, degree, mean, _inner_products(x, mean, degree, s))
+    _subtract_trend_in_place(x, coefficients, s)
     return coefficients
 
 
@@ -216,9 +221,10 @@ def fit_polynomial(series: TimeSeries, degree: int) -> TrendModel:
         ValueError: degree not in {1, 2}, or fewer samples than
             coefficients.
     """
-    residual = series.values.copy()
-    coefficients = np.array(_remove_polynomial(residual, degree))
-    cost = float(np.einsum("i,i->", residual, residual)) / residual.size
+    residual, e = _scaled(series.values)
+    coefficients = np.ldexp(_remove_polynomial(residual, degree), e)
+    with np.errstate(over="ignore"):  # a mean square past the float maximum is inf
+        cost = float(np.ldexp(np.einsum("i,i->", residual, residual) / residual.size, 2 * e))
     return TrendModel(degree=degree, coefficients=coefficients, cost=cost)
 
 
@@ -228,18 +234,21 @@ def select_trend_degree(series: TimeSeries, k_trend: float) -> int:
     Degree 2 wins only when the squared-error gap between the linear and
     the quadratic fit, totalled over all samples, exceeds exp(k_trend) on
     the log scale. The gap is the quadratic term's share c2**2 * sum(q**2)
-    = sum(q*x)**2 / sum(q**2); a zero gap always selects degree 1.
+    = sum(q*x)**2 / sum(q**2); a zero gap always selects degree 1. On the
+    scaled copy the gap shrinks by 4**e, so k_trend drops by 2e*ln 2.
 
     Raises:
         ValueError: fewer than 3 samples.
     """
-    x = series.values
+    x, e = _scaled(series.values)
     _check_degree(x.size, 2)
-    return _degree(_inner_products(x, float(x.mean()), 2)[2], x.size, k_trend)
+    inner = _inner_products(x, float(x.mean()), 2, _step(x.size))[2]
+    return _degree(inner, x.size, k_trend - 2 * e * math.log(2))
 
 
 def remove_trend(series: TimeSeries, model: TrendModel) -> TimeSeries:
     """Subtract the trend values, evaluated on the series' own time index."""
-    residual = series.values.copy()
-    _subtract_trend_in_place(residual, model.coefficients)
-    return TimeSeries(residual, series.delta)
+    # With the largest coefficient in the scale, the trend (at most 1.75 times it) cannot overflow.
+    residual, e = _scaled(series.values, float(np.abs(model.coefficients).max()))
+    _subtract_trend_in_place(residual, np.ldexp(model.coefficients, -e), _step(residual.size))
+    return TimeSeries(np.ldexp(residual, e, out=residual), series.delta)

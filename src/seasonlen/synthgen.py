@@ -24,22 +24,9 @@ import numpy as np
 from seasonlen.core import TimeSeries, validate_series
 from seasonlen.pipeline import is_repetition_of_shorter
 
-__all__ = ["SeriesSpec", "generate", "gen_family", "FAMILY_NAMES", "FAMILY_SIZES"]
+__all__ = ["SeriesSpec", "generate", "gen_family", "FAMILY_NAMES"]
 
 PATTERNS = ("sinusoid", "tile", "two_sinusoids")
-
-#: Case counts per family; the last three are fixed at 10 by convention.
-FAMILY_SIZES = {
-    "Diverse": 20,
-    "Complex": 20,
-    "Ambiguous": 20,
-    "Variations": 20,
-    "Noise": 10,
-    "Length": 10,
-    "NoSeason": 10,
-}
-
-FAMILY_NAMES = tuple(FAMILY_SIZES)
 
 #: What a family builder yields for each case: label suffix, recipe, reference.
 Recipes = Iterator[tuple[str, "SeriesSpec | np.ndarray", object]]
@@ -397,6 +384,8 @@ _FAMILY_BUILDERS = {
     "NoSeason": _family_noseason,
 }
 
+FAMILY_NAMES = tuple(_FAMILY_BUILDERS)
+
 
 def gen_family(name: str, seed: int) -> list[tuple[TimeSeries, object, str]]:
     """Generate one benchmark family.
@@ -414,5 +403,4 @@ def gen_family(name: str, seed: int) -> list[tuple[TimeSeries, object, str]]:
     for suffix, recipe, reference in _FAMILY_BUILDERS[name](seed):
         series = generate(recipe)[0] if isinstance(recipe, SeriesSpec) else validate_series(recipe)
         cases.append((series, reference, f"{name}-{suffix}"))
-    assert len(cases) == FAMILY_SIZES[name]
     return cases

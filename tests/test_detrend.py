@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from seasonlen.core import TimeSeries, validate_series
 from seasonlen.detrend import (
+    TrendModel,
     _BLOCK,
     _detrend_in_place,
     _remove_polynomial,
@@ -93,8 +94,8 @@ def extended_residual(x, degree):
 @pytest.mark.parametrize("n", [3, 2_000, *BLOCK_EDGES[1:]])
 @pytest.mark.parametrize("k_trend", [-np.inf, np.inf])
 def test_a_prebuilt_index_gives_the_same_residuals_bit_for_bit(n, k_trend):
-    # The prebuilt index is the module ramp: the pass that selects the
-    # degree, the fixed-degree kernel and the public fit-then-remove run
+    # The prebuilt index is the step array s = j / n: the pass that selects
+    # the degree, the fixed-degree kernel and the public fit-then-remove run
     # the same sums over it and the same subtraction.
     for offset in OFFSETS:
         x = trended(n, offset)
@@ -136,6 +137,34 @@ def test_short_series_near_the_float_maximum_fit_without_overflow(n, degree):
     assert np.isfinite(residual).all()
     error = residual - extended_residual(x, degree)
     assert np.abs(error).max() <= 1e-14 * np.abs(x).max()
+
+
+def test_public_stages_near_the_float_maximum_act_as_on_a_scaled_copy():
+    # Unscaled, the sum behind the mean of 1e306 * (1 + tau**2 / 2) overflows:
+    # the fit came out NaN, the selection linear, and the removal raised
+    # NonFiniteError. Scaled by a power of two, each stage acts as on the
+    # copy times 2**-1000, its threshold lowered by 1000 * ln 4, and the
+    # cost, a mean square near 1e580, is inf.
+    tau = (np.arange(1000) - 500) / 500
+    series = TimeSeries(1e306 * (1.0 + 0.5 * tau**2))
+    scaled = TimeSeries(np.ldexp(series.values, -1000))
+    model, reference = fit_polynomial(series, 2), fit_polynomial(scaled, 2)
+    assert np.array_equal(model.coefficients, np.ldexp(reference.coefficients, 1000))
+    assert model.cost == math.inf
+    assert select_trend_degree(series, E_SQUARED) == 2
+    assert select_trend_degree(scaled, E_SQUARED - 1000 * math.log(4.0)) == 2
+    residual = remove_trend(series, model).values
+    assert np.array_equal(residual, np.ldexp(remove_trend(scaled, reference).values, 1000))
+
+
+def test_removing_a_trend_far_larger_than_the_series_does_not_overflow():
+    # Scaled by the series' extremes alone, a coefficient of 1e10 would be
+    # lifted by 2**997 past the float maximum.
+    series = TimeSeries(1e-300 * np.sin(np.arange(100.0)))
+    model = TrendModel(degree=1, coefficients=np.array([1e10, 3.0]), cost=0.0)
+    residual = remove_trend(series, model).values
+    expected = series.values - design_matrix(100, 1) @ model.coefficients
+    np.testing.assert_allclose(residual, expected, rtol=1e-15)
 
 
 class TestFitPolynomial:

@@ -427,6 +427,24 @@ class TestDetectSeasonLength:
         assert a.is_seasonal and b.is_seasonal
         assert abs(a.unscaled_length - b.unscaled_length) <= 1.0
 
+    def test_suite_cases_whose_outcome_flips_under_time_reversal(self):
+        # The filter's start states are not symmetric under reversal: the
+        # forward pass starts at rest relative to x[0], the backward pass
+        # from the steady state of the forward pass's last output. On
+        # Diverse-04 (seed 7) the reversed copy leaves 2 autocorrelation
+        # zeros instead of 18. This pins which suite cases flip between a
+        # season and none, so that a change to the filter's edges shows up.
+        flips = set()
+        for seed in (7, 11):
+            for name in FAMILY_NAMES:
+                for series, _, label in gen_family(name, seed):
+                    reversed_series = validate_series(series.values[::-1], series.delta)
+                    if (detect_season_length(series).is_seasonal
+                            != detect_season_length(reversed_series).is_seasonal):
+                        flips.add((seed, label))
+        assert flips == {(7, "Diverse-04"), (7, "NoSeason-03"), (7, "NoSeason-04"),
+                         (11, "Diverse-04")}
+
     @pytest.mark.parametrize("period", [4, 7, 12, 25, 50])
     def test_oracle_consistency_on_tiled_patterns(self, period):
         rng = np.random.default_rng(period)
