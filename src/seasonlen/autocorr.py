@@ -10,8 +10,8 @@ transforms over the columns and rows of the series, each batch small
 enough to stay in cache, in place of one transform that streams the
 whole zero-padded array through memory in every radix pass. The column
 batches are copied, transposed, into one contiguous buffer of 128 rows,
-so every transform runs along contiguous rows; the series is centred and
-scaled in that buffer, not in separate passes over its whole length. The
+so every transform runs along contiguous rows; the series is centred in
+that buffer, not in a separate pass over its whole length. The
 (n1/2 + 1) x n2 half-spectrum is two real planes: the real one is the
 series' own grid, whose cells each column batch copies out before
 writing them, plus a few tail rows; the imaginary one is the only new
@@ -44,11 +44,11 @@ def autocorrelation(series: TimeSeries) -> TimeSeries:
     """Normalized autocorrelation of a series at every lag.
 
     The mean is removed first; without that step the lagged-product sum
-    of any offset series never crosses zero. The series, and then the
-    centred series, is scaled by the power of two that brings its
-    largest magnitude into [0.5, 1), so neither the mean nor the squared
-    spectrum overflows or underflows at any float64 scale; a power of
-    two scales every FFT step exactly, so the result does not change.
+    of any offset series never crosses zero. The series is scaled by the
+    power of two that brings its largest magnitude into [0.5, 1), so
+    neither the mean nor the squared spectrum overflows or underflows at
+    any float64 scale; a power of two scales every FFT step exactly, and
+    the division by lag 0 cancels it, so the result does not change.
     Normalization by the lag-0 value puts the result in [-1, 1] with
     value 1 at lag 0. The result is indexed by lag and keeps the input's
     sampling interval.
@@ -57,7 +57,10 @@ def autocorrelation(series: TimeSeries) -> TimeSeries:
         ZeroVarianceError: the series is constant.
     """
     x = series.values
-    values = np.ldexp(x, -_exponent(x.max(), x.min()))
+    hi, lo = x.max(), x.min()
+    if hi == lo:
+        raise ZeroVarianceError("constant series has no autocorrelation structure")
+    values = np.ldexp(x, -_exponent(hi, lo))
     _autocorrelation_in_place(values)
     return TimeSeries(values, series.delta)
 
@@ -140,15 +143,15 @@ def _grid(x: np.ndarray, n2: int) -> tuple[np.ndarray, int, np.ndarray]:
     return x[:rows * n2].reshape(rows, n2), rows, x[rows * n2:]
 
 
-def _column_spectra(x: np.ndarray, mean: float, scale: int, n1: int, n2: int) -> tuple:
-    """Real FFTs of length n1 down the n2 columns of the centred, scaled x.
+def _column_spectra(x: np.ndarray, mean: float, n1: int, n2: int) -> tuple:
+    """Real FFTs of length n1 down the n2 columns of the centred x.
 
     Each block of _COLUMN_BLOCK columns is copied, transposed, into the
-    rows of one contiguous buffer, centred on mean and scaled by
-    2**scale there, and transformed along those rows. Of the
-    (n1//2 + 1, n2) spectrum, the real parts go back into the block's
-    columns of x's grid and of a tail of the rows past it, and the
-    imaginary parts into a new plane; returns (tail, imaginary plane).
+    rows of one contiguous buffer, centred on mean there, and transformed
+    along those rows. Of the (n1//2 + 1, n2) spectrum, the real parts go
+    back into the block's columns of x's grid and of a tail of the rows
+    past it, and the imaginary parts into a new plane; returns (tail,
+    imaginary plane).
     """
     grid, rows, last = _grid(x, n2)
     tail = np.empty((n1 // 2 + 1 - rows, n2))
@@ -161,7 +164,6 @@ def _column_spectra(x: np.ndarray, mean: float, scale: int, n1: int, n2: int) ->
         extra = last[start:stop]
         np.subtract(extra, mean, out=columns[:extra.size, rows])
         columns[extra.size:, rows] = 0.0
-        np.ldexp(columns[:, :rows + 1], scale, out=columns[:, :rows + 1])
         spectrum = np.fft.rfft(columns, axis=1).T
         grid[:, start:stop], tail[:, start:stop] = np.split(spectrum.real, [rows])
         imag[:, start:stop] = spectrum.imag
@@ -204,12 +206,13 @@ def _column_lags(x: np.ndarray, tail: np.ndarray, imag: np.ndarray, n1: int) -> 
 def _autocorrelation_in_place(x: np.ndarray) -> None:
     """autocorrelation on a plain array, overwriting it with the result.
 
-    A constant x (max == min; its mean can round off the constant) raises
-    before any transform and before x is written. Otherwise an extreme of
-    the centred x is nonzero, so lag 0 is positive; 2**scale brings the
-    larger into [0.5, 1). The zero-padded transform of length n1 * n2 is a
-    four-step FFT (Bailey 1990) over x viewed as a grid with n2 columns and
-    zero rows after it: length-n1 real FFTs down the columns
+    Precondition: x is not constant, and a power of two has brought its
+    largest magnitude into [0.5, 1) (autocorrelation scales the series,
+    detect_season_length the detrended residual), so no step overflows or
+    underflows; the division by lag 0 cancels it. The mean lies between the
+    extremes, so lag 0 is positive. The zero-padded transform of length
+    n1 * n2 is a four-step FFT (Bailey 1990) over x viewed as a grid with n2
+    columns and zero rows after it: length-n1 real FFTs down the columns
     (_column_spectra), a twiddle factor, length-n2 FFTs along cache-sized
     blocks of rows, |X|**2, and the same steps back; _column_lags writes the
     normalized lags below n into x. Each row block is built from the two
@@ -217,27 +220,20 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
     inverse's first n2//2 + 1 columns: times the twiddle, their real and
     negated imaginary parts go back into the planes' first columns, in rows
     the pass has already read. Both inverses are unscaled: dividing by lag 0
-    takes out their factor n1 * n2. Short series (n2 == 1) are centred and
-    scaled in place and run the one real FFT of length _fast_len(2n) and its
-    inverse.
+    takes out their factor n1 * n2. Short series (n2 == 1) are centred in
+    place and run the one real FFT of length _fast_len(2n) and its inverse.
     """
-    n, hi, lo = x.size, x.max(), x.min()
-    if hi == lo:
-        raise ZeroVarianceError("constant series has no autocorrelation structure")
-    mean = x.mean()
-    # Rounding is monotone, so these are the extremes of the centred x.
-    scale = -_exponent(hi - mean, lo - mean)
+    n, mean = x.size, x.mean()
     n1, n2 = _factor(n)
     if n2 == 1:
         x -= mean
-        np.ldexp(x, scale, out=x)
         spectrum = np.fft.rfft(x, n1)
         np.square(np.abs(spectrum), out=spectrum.real)
         spectrum.imag = 0.0
         lags = np.fft.irfft(spectrum, n1)
         np.divide(lags[:n], lags[0], out=x)
         return
-    tail, imag = _column_spectra(x, mean, scale, n1, n2)
+    tail, imag = _column_spectra(x, mean, n1, n2)
     grid, rows, _ = _grid(x, n2)
     step, half = max(1, _SPLIT_BLOCK // n2), n2 // 2 + 1
     coarse, fine = _twiddle_tables(n1, n2)

@@ -25,7 +25,6 @@ from seasonlen.core import (
     MIN_DETECTION_LENGTH,
     TimeSeries,
     TooShortError,
-    ZeroVarianceError,
     _exponent,
 )
 from seasonlen.detrend import _detrend_in_place, _remove_polynomial
@@ -92,10 +91,10 @@ def detect_season_length(
 
     degree = _detrend_in_place(values, config.trend_log_threshold - 2 * e * math.log(2))
 
-    try:
-        _autocorrelation_in_place(values)
-    except ZeroVarianceError:
-        return _result(degree)
+    # The residual can be far smaller than the series (3e-173 from 7 values
+    # at cutoff 3e-12, order 14), and its squares would underflow.
+    np.ldexp(values, -_exponent(values.max(), values.min()), out=values)
+    _autocorrelation_in_place(values)
     _remove_polynomial(values, 1)
 
     zeros = _find_zeros(values, config.zero_tolerance_rel)

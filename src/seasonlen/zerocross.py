@@ -29,7 +29,7 @@ __all__ = [
     "estimate_from_zeros",
 ]
 
-#: Lags per block of the sign-change pass: its products take 512 KiB.
+#: Lags per block of the zero pass: its products take 512 KiB.
 _BLOCK = 1 << 16
 
 
@@ -52,17 +52,17 @@ def find_zeros(acf: TimeSeries, epsilon_rel: float) -> np.ndarray:
 
 
 def _find_zeros(v: np.ndarray, epsilon_rel: float) -> np.ndarray:
-    """find_zeros on a plain array of autocorrelation values, in one pass over the lags."""
+    """find_zeros on a plain array: after its range, one pass over blocks of _BLOCK lags."""
     tolerance = epsilon_rel * (v.max() - v.min())
-
-    cross_idx = np.concatenate([
-        np.flatnonzero(v[i:min(i + _BLOCK, v.size - 1)] * v[i + 1:i + _BLOCK + 1] < 0.0) + i
-        for i in range(0, v.size - 1, _BLOCK)])
+    cross_idx, inside = [], []
+    for i in range(0, v.size, _BLOCK):
+        block = v[i:i + _BLOCK + 1]  # one lag past the block, for its last sign change
+        cross_idx.append(np.flatnonzero(block[:-1] * block[1:] < 0.0) + i)
+        inside.append(np.flatnonzero(np.abs(block[:_BLOCK]) <= tolerance) + i)
+    cross_idx, inside = np.concatenate(cross_idx), np.concatenate(inside)
     crossings = cross_idx + v[cross_idx] / (v[cross_idx] - v[cross_idx + 1])
 
-    # In-band lags (two comparisons: no float temporary of v's size); a run
-    # of them ends wherever the next one is more than a lag away.
-    inside = np.flatnonzero((v >= -tolerance) & (v <= tolerance))
+    # A run of in-band lags ends wherever the next one is more than a lag away.
     gap = np.diff(inside) > 1
     starts = np.concatenate((inside[:1], inside[1:][gap]))
     ends = np.concatenate((inside[:-1][gap], inside[-1:]))

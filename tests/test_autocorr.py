@@ -145,13 +145,16 @@ def twiddle_rows(tables, start, stop, n2):
 def complex_spectrum_acf(values):
     """The four-step ACF with plain storage and an explicit mirror loop.
 
-    The module's arithmetic, step for step, with none of its storage: the
-    (n1/2 + 1) x n2 half-spectrum is a new complex array, the row pass's
-    inverse a second complex (n1/2 + 1) x h array with h = n2//2 + 1, and
-    the lags are written column by column through strided views of the
-    result. Each column b with 0 < b < n2 - b also fills column n2 - b
-    from its own lags read backwards, which is r[j] = r[n1*n2 - j].
-    Storage is all that differs, so the two agree bit for bit.
+    The module's arithmetic with none of its storage: the (n1/2 + 1) x n2
+    half-spectrum is a new complex array, the row pass's inverse a second
+    complex (n1/2 + 1) x h array with h = n2//2 + 1, and the lags are
+    written column by column through strided views of the result. Each
+    column b with 0 < b < n2 - b also fills column n2 - b from its own
+    lags read backwards, which is r[j] = r[n1*n2 - j]. One step is its
+    own: the oracle takes the unscaled values and scales the centred ones
+    by the power of two that brings them into [0.5, 1), where the module
+    scales the raw values at entry and never again. A power of two moves
+    no bit, so the two still agree bit for bit.
     """
     x = values.copy()
     mean = x.mean()

@@ -351,7 +351,75 @@ class TestReadSeriesCsvMatchesCsvModule:
             read_series_csv(path, column=str(index), delimiter=delimiter)
 
 
+#: Extreme cells for the detect property: the float limits, subnormals, and
+#: text that float() takes past the float range (inf, and 0 from 1e-400).
+EXTREME_CELL = st.sampled_from([
+    "1.7976931348623157e308", "-1.7976931348623157e308", "1e308", "5e-324", "-2.2e-308",
+    "1e-320", "1e400", "-1e400", "1e-400", "0",
+])
+
+
+def mostly(valid, invalid):
+    """A strategy that draws from valid seven times in eight, else from invalid."""
+    return st.integers(0, 7).flatmap(lambda k: invalid if k == 7 else valid)
+
+
+@st.composite
+def detect_invocations(draw):
+    """(file bytes, detect flags) for the boundary property of detect.
+
+    The text is a csv_files file, some of whose cells in the selected
+    column become EXTREME_CELLs, with a byte-order mark or none and a mix
+    of LF, CR LF and CR line ends, in UTF-8 or, rarely, UTF-16 or UTF-32
+    (which a UTF-8 read rejects). The column is the file's own, its
+    header name, or an index past any index; --delta, --cutoff and
+    --interp-factor take valid and invalid values alike.
+    """
+    bad_cell = draw(mostly(st.just(False), st.just(True)))
+    text, delimiter, index, header, _ = draw(csv_files(bad_cell=bad_cell))
+    lines = text.split("\n")[:-1]
+    for i in range(int(header), len(lines)):
+        if lines[i] and '"' not in lines[i] and draw(st.integers(0, 7)) == 7:
+            cells = lines[i].split(delimiter)
+            cells[index] = draw(EXTREME_CELL)
+            lines[i] = delimiter.join(cells)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    own = [str(index)] + ([f"c{index}"] if header else [])
+    flags = {
+        "--column": draw(mostly(st.sampled_from(own), st.sampled_from([10**23, -(10**23)]))),
+        "--delimiter": delimiter,
+        "--delta": repr(draw(mostly(st.floats(min_value=5e-324, max_value=1e300),
+                                    st.one_of(st.floats(), st.just(1e306))))),
+        "--cutoff": repr(draw(mostly(st.floats(1e-3, 3.0), st.floats()))),
+        "--interp-factor": str(draw(mostly(st.sampled_from([4, 1, 2, 16]),
+                                           st.sampled_from([-1, 0, 10**14, 10**400])))),
+    }
+    encoding = draw(mostly(st.just("utf-8"), st.sampled_from(["utf-16", "utf-32"])))
+    return text.encode(encoding), [f"{flag}={value}" for flag, value in flags.items()]
+
+
 class TestDetectCommand:
+    @given(invocation=detect_invocations())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exits_0_with_strict_json_or_2_with_one_error_line(self, tmp_path, capsys,
+                                                                invocation):
+        data, flags = invocation
+        path = tmp_path / "series.csv"
+        path.write_bytes(data)
+        code = main(["detect", "--input", str(path)] + flags)
+        out, err = capsys.readouterr()
+        assert code in (0, 2)
+        assert len(err.splitlines()) <= 1
+        if code == 0:
+            json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {out}"))
+        else:
+            assert out == ""
+
     def test_sine_csv(self, tmp_path, capsys):
         path = tmp_path / "sine.csv"
         write_sine_csv(path, 24, 960)

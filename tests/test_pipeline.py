@@ -1,11 +1,12 @@
 """End-to-end detection, the exact oracle, and the baseline detector."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from seasonlen.autocorr import _autocorrelation_in_place, autocorrelation, detrend_acf
 from seasonlen.core import (
@@ -61,10 +62,7 @@ def chained_stages(series, config):
         return DetectionResult(None, None, 1)
     degree = select_trend_degree(filtered, config.trend_log_threshold)
     detrended = remove_trend(filtered, fit_polynomial(filtered, degree))
-    try:
-        acf = autocorrelation(detrended)
-    except ZeroVarianceError:
-        return DetectionResult(None, None, degree)
+    acf = autocorrelation(detrended)
     zeros = find_zeros(detrend_acf(acf), config.zero_tolerance_rel)
     if zeros.size < config.min_zero_count:
         return DetectionResult(None, None, degree, DetectionDiagnostics(zero_count=zeros.size))
@@ -461,6 +459,25 @@ class TestDetectSeasonLength:
         assert abs(result.unscaled_length - oracle) / oracle <= 0.2
 
 
+def with_searched_shapes(test):
+    """test with an @example per searched shape under two configs.
+
+    A ramp, t*t, a two-level step, t % 2 and 2**-t (with random small
+    integers, at n = 4 to 29, under four configs) never left a constant
+    detrended residual, which detection would pass to the ACF kernel, and
+    divide 0 by 0 at lag 0 there. The configs are the default and the
+    widest filter, interp_factor=1 at 0.9 pi, which admits short series
+    from n = 13 on.
+    """
+    t = np.arange(16.0)
+    default = dataclasses.asdict(DetectionConfig())
+    widest = {**default, "interp_factor": 1, "filter_cutoff": 0.9 * math.pi}
+    for values in (t, t * t, (t >= 8) * 1.0, t % 2, 2.0**-t):
+        for fields in (default, widest):
+            test = example(values=values.tolist(), **fields)(test)
+    return test
+
+
 class TestDetectionProperties:
     @given(
         # Upsampled by 4, up to 4,096 raw samples fit one trend block;
@@ -513,13 +530,19 @@ class TestDetectionProperties:
                                      exclude_max=True),
         min_zero_count=st.integers(min_value=1, max_value=50),
     )
+    # The filtered series is nearly flat, and its residual, about 3e-173,
+    # has squares that underflow unless it is scaled before the ACF.
+    @example(values=[0.0] * 6 + [1.0], interp_factor=14, filter_order=14,
+             filter_cutoff=3.26700334850722e-12, trend_log_threshold=0.0,
+             zero_tolerance_rel=0.0, quotient_threshold=0.5, min_zero_count=1)
+    @with_searched_shapes
     @settings(max_examples=60, deadline=None)
     def test_a_config_that_builds_detects_or_raises_a_detection_error(self, values, **fields):
         # A config is rejected when it is built or it works: on finite
         # input of any scale, detection returns a result or finds the
-        # series too short for its filter, and nothing overflows (the
-        # suite turns numpy's RuntimeWarnings into errors). The baseline
-        # and the autocorrelation take the same values.
+        # series too short for its filter, and nothing overflows or
+        # divides 0 by 0 (the suite turns numpy's RuntimeWarnings into
+        # errors). The baseline and the autocorrelation take the same values.
         try:
             config = DetectionConfig(**fields)
         except ValueError:
