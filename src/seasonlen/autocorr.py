@@ -13,8 +13,8 @@ batches are copied, transposed, into one contiguous buffer of 128 rows,
 so every transform runs along contiguous rows; the series is centred in
 that buffer, not in a separate pass over its whole length. The
 (n1/2 + 1) x n2 half-spectrum is two real planes: the real one is the
-series' own grid, whose cells each column batch copies out before
-writing them, plus a few tail rows; the imaginary one is the only new
+series' buffer, which has room for the whole grid and whose cells each
+column batch copies out before writing them; the imaginary one is the only new
 series-sized array. The autocorrelation is real and even, so half the
 inverse suffices: each row's real power, by its conjugated real FFT,
 gives the first n2//2 + 1 columns; only those go down, and each fills
@@ -60,9 +60,10 @@ def autocorrelation(series: TimeSeries) -> TimeSeries:
     hi, lo = x.max(), x.min()
     if hi == lo:
         raise ZeroVarianceError("constant series has no autocorrelation structure")
-    values = np.ldexp(x, -_exponent(hi, lo))
-    _autocorrelation_in_place(values)
-    return TimeSeries(values, series.delta)
+    values = np.empty(_acf_size(x.size))
+    np.ldexp(x, -_exponent(hi, lo), out=values[:x.size])
+    _autocorrelation_in_place(values, x.size)
+    return TimeSeries(values[:x.size], series.delta)
 
 
 #: Transform length from which the ACF runs as a four-step FFT: its median
@@ -133,63 +134,46 @@ def _twiddle_tables(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
     return coarse, fine
 
 
-def _grid(x: np.ndarray, n2: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """x as a grid with n2 columns: its full rows, their count, and the partial last row.
-
-    Both arrays are writable views of x; the partial row holds the last
-    value of each of the first n % n2 columns.
-    """
-    rows = x.size // n2
-    return x[:rows * n2].reshape(rows, n2), rows, x[rows * n2:]
-
-
-def _column_spectra(x: np.ndarray, mean: float, n1: int, n2: int) -> tuple:
-    """Real FFTs of length n1 down the n2 columns of the centred x.
+def _column_spectra(grid: np.ndarray, mean: float, n1: int) -> np.ndarray:
+    """Real FFTs of length n1 down the columns of the centred grid; returns the imaginary plane.
 
     Each block of _COLUMN_BLOCK columns is copied, transposed, into the
     rows of one contiguous buffer, centred on mean there, and transformed
-    along those rows. Of the (n1//2 + 1, n2) spectrum, the real parts go
-    back into the block's columns of x's grid and of a tail of the rows
-    past it, and the imaginary parts into a new plane; returns (tail,
-    imaginary plane).
+    along those rows. The grid has the spectrum's n1//2 + 1 rows: the real
+    parts go back into the block's columns of the grid, the imaginary
+    parts into a new plane.
     """
-    grid, rows, last = _grid(x, n2)
-    tail = np.empty((n1 // 2 + 1 - rows, n2))
-    imag = np.empty((n1 // 2 + 1, n2))
-    buffer = np.zeros((_COLUMN_BLOCK, n1))  # the rows past the data stay zero
+    rows, n2 = grid.shape
+    imag = np.empty((rows, n2))
+    buffer = np.zeros((_COLUMN_BLOCK, n1))  # the rows past the grid stay zero
     for start in range(0, n2, _COLUMN_BLOCK):
         columns = buffer[:min(_COLUMN_BLOCK, n2 - start)]
         stop = start + columns.shape[0]
         np.subtract(grid[:, start:stop].T, mean, out=columns[:, :rows])
-        extra = last[start:stop]
-        np.subtract(extra, mean, out=columns[:extra.size, rows])
-        columns[extra.size:, rows] = 0.0
         spectrum = np.fft.rfft(columns, axis=1).T
-        grid[:, start:stop], tail[:, start:stop] = np.split(spectrum.real, [rows])
+        grid[:, start:stop] = spectrum.real
         imag[:, start:stop] = spectrum.imag
-    return tail, imag
+    return imag
 
 
-def _column_lags(x: np.ndarray, tail: np.ndarray, imag: np.ndarray, n1: int) -> None:
-    """Inverse real FFTs down the spectrum's first n2//2 + 1 columns, divided by lag 0, into x.
+def _column_lags(grid: np.ndarray, imag: np.ndarray, n1: int) -> None:
+    """Inverse real FFTs down the spectrum's first n2//2 + 1 columns, over lag 0, into grid.
 
     The inverse of _column_spectra: each block of columns is gathered,
     transposed, from the planes into one contiguous buffer and
-    transformed along its rows. The lags below x.size are scattered back
-    into the grid cells just gathered and x's partial last row. The
-    lags are even, so row a of column n2 - b is row n1 - 1 - a of column
-    b: each column's last rows, reversed, fill its mirror column, which
-    holds no spectrum. For even n2 the centre column is its own mirror.
+    transformed along its rows. The lags of the grid's rows are
+    scattered back into the cells just gathered. The lags are even, so
+    row a of column n2 - b is row n1 - 1 - a of column b: each column's
+    last rows, reversed, fill its mirror column, which holds no spectrum.
+    For even n2 the centre column is its own mirror.
     """
-    n2 = imag.shape[1]
+    rows, n2 = grid.shape
     half = n2 // 2 + 1
-    grid, rows, last = _grid(x, n2)
-    buffer = np.empty((_COLUMN_BLOCK, imag.shape[0]), dtype=np.complex128)
+    buffer = np.empty((_COLUMN_BLOCK, rows), dtype=np.complex128)
     for start in range(0, half, _COLUMN_BLOCK):
         columns = buffer[:min(_COLUMN_BLOCK, half - start)]
         stop = start + columns.shape[0]
-        np.concatenate((grid[:, start:stop], tail[:, start:stop]), out=columns.real.T)
-        columns.imag = imag[:, start:stop].T
+        columns.real, columns.imag = grid[:, start:stop].T, imag[:, start:stop].T
         lags = np.fft.irfft(columns, n1, axis=1, norm="forward")
         if start == 0:
             lag0 = lags[0, 0]
@@ -199,53 +183,60 @@ def _column_lags(x: np.ndarray, tail: np.ndarray, imag: np.ndarray, n1: int) -> 
         mirror = lags[lo - start:hi - start, ::-1][::-1]
         for source, first in ((lags, start), (mirror, n2 - hi + 1)):
             np.divide(source[:, :rows].T, lag0, out=grid[:, first:first + source.shape[0]])
-            extra = last[first:first + source.shape[0]]
-            np.divide(source[:extra.size, rows], lag0, out=extra)
 
 
-def _autocorrelation_in_place(x: np.ndarray) -> None:
-    """autocorrelation on a plain array, overwriting it with the result.
+def _acf_size(n: int) -> int:
+    """The buffer size _autocorrelation_in_place(x, n) needs: n, or a split's (n1//2 + 1) * n2."""
+    n1, n2 = _factor(n)
+    return n if n2 == 1 else (n1 // 2 + 1) * n2
 
-    Precondition: x is not constant, and a power of two has brought its
+
+def _autocorrelation_in_place(x: np.ndarray, n: int) -> None:
+    """autocorrelation of x[:n], overwriting it with the result.
+
+    x holds at least _acf_size(n) values: those from n up to that size are
+    scratch, and any after them are not touched.
+    Precondition: x[:n] is not constant, and a power of two has brought its
     largest magnitude into [0.5, 1) (autocorrelation scales the series,
     detect_season_length the detrended residual), so no step overflows or
     underflows; the division by lag 0 cancels it. The mean lies between the
     extremes, so lag 0 is positive. The zero-padded transform of length
-    n1 * n2 is a four-step FFT (Bailey 1990) over x viewed as a grid with n2
-    columns and zero rows after it: length-n1 real FFTs down the columns
-    (_column_spectra), a twiddle factor, length-n2 FFTs along cache-sized
-    blocks of rows, |X|**2, and the same steps back; _column_lags writes the
-    normalized lags below n into x. Each row block is built from the two
-    planes; its power is real, so the conjugate of its real FFT is the
-    inverse's first n2//2 + 1 columns: times the twiddle, their real and
-    negated imaginary parts go back into the planes' first columns, in rows
-    the pass has already read. Both inverses are unscaled: dividing by lag 0
-    takes out their factor n1 * n2. Short series (n2 == 1) are centred in
-    place and run the one real FFT of length _fast_len(2n) and its inverse.
+    n1 * n2 is a four-step FFT (Bailey 1990) over x viewed as a grid of
+    n1//2 + 1 rows and n2 columns, whose cells past n are set to the mean so
+    that centring pads with zeros, and zero rows after it: length-n1 real
+    FFTs down the columns (_column_spectra), a twiddle factor, length-n2
+    FFTs along cache-sized blocks of rows, |X|**2, and the same steps back;
+    _column_lags writes the normalized lags into the grid. Each row block is
+    built from the two planes; its power is real, so the conjugate of its
+    real FFT is the inverse's first n2//2 + 1 columns: times the twiddle,
+    their real and negated imaginary parts go back into the planes' first
+    columns, in rows the pass has already read. Both inverses are unscaled:
+    dividing by lag 0 takes out their factor n1 * n2. Short series (n2 == 1)
+    are centred in place and run the one real FFT of length _fast_len(2n)
+    and its inverse.
     """
-    n, mean = x.size, x.mean()
-    n1, n2 = _factor(n)
+    values, (n1, n2) = x[:n], _factor(n)
+    mean = values.mean()
     if n2 == 1:
-        x -= mean
-        spectrum = np.fft.rfft(x, n1)
+        values -= mean
+        spectrum = np.fft.rfft(values, n1)
         np.square(np.abs(spectrum), out=spectrum.real)
         spectrum.imag = 0.0
         lags = np.fft.irfft(spectrum, n1)
-        np.divide(lags[:n], lags[0], out=x)
+        np.divide(lags[:n], lags[0], out=values)
         return
-    tail, imag = _column_spectra(x, mean, n1, n2)
-    grid, rows, _ = _grid(x, n2)
+    grid = x[:(n1 // 2 + 1) * n2].reshape(-1, n2)
+    x[n:grid.size] = mean
+    imag = _column_spectra(grid, mean, n1)
     step, half = max(1, _SPLIT_BLOCK // n2), n2 // 2 + 1
     coarse, fine = _twiddle_tables(n1, n2)
     buffer = np.empty((step, n2), dtype=np.complex128)
     twiddles = np.empty((step, coarse.shape[1], fine.shape[2]), dtype=np.complex128)
     squares = np.empty((step, n2))
-    for start in range(0, imag.shape[0], step):
-        block = buffer[:min(step, imag.shape[0] - start)]
+    for start in range(0, grid.shape[0], step):
+        block = buffer[:min(step, grid.shape[0] - start)]
         stop = start + block.shape[0]
-        real = grid[start:stop], tail[max(start - rows, 0):max(stop - rows, 0)]
-        np.concatenate(real, out=block.real)
-        block.imag = imag[start:stop]
+        block.real, block.imag = grid[start:stop], imag[start:stop]
         twiddle = np.multiply(coarse[start:stop], fine[start:stop], out=twiddles[:stop - start])
         twiddle = twiddle.reshape(stop - start, -1)[:, :n2]
         block *= twiddle
@@ -254,9 +245,9 @@ def _autocorrelation_in_place(x: np.ndarray) -> None:
         power += np.square(transformed.imag, out=transformed.imag)
         inverse = np.fft.rfft(power, axis=1)
         inverse *= twiddle[:, :half]
-        real[0][:, :half], real[1][:, :half] = np.split(inverse.real, [real[0].shape[0]])
+        grid[start:stop, :half] = inverse.real
         np.negative(inverse.imag, out=imag[start:stop, :half])
-    _column_lags(x, tail, imag, n1)
+    _column_lags(grid, imag, n1)
 
 
 def detrend_acf(acf: TimeSeries) -> TimeSeries:

@@ -11,8 +11,9 @@ Exit codes: 0 when the run completed (a no-season result and a low
 pass rate are data, not errors), 2 on usage, input, or validation
 problems, such as a row the csv module cannot read, a column index past
 the row, or a --delta that scales the season length past the float
-range. Every command reports a DetectionError, OSError or ValueError
-as one line, "error: <type>: <message>", on stderr.
+range, or a run out of memory. Every command reports a DetectionError,
+OSError, ValueError or MemoryError as one line, "error: <type>:
+<message>", on stderr.
 """
 
 from __future__ import annotations
@@ -116,49 +117,57 @@ def read_series_csv(path, column: str = "0", delimiter: str = ",", delta: float 
     one (.gz, .bz2, .xz, .lzma) that loadtxt would try to decompress,
     the csv-module reader reads on from the header instead, giving
     bit-identical values: it reports the line-numbered error, or accepts
-    the cells that float() takes and loadtxt does not (such as 1_0).
+    the cells that float() takes and loadtxt does not (such as 1_0). A
+    file that does not decode, such as UTF-16 or Latin-1 text, raises a
+    ValueError that names it.
     """
     if len(delimiter) != 1 or delimiter in "\r\n":
         raise ValueError(
             f"delimiter must be one character other than a line break, got {delimiter!r}"
         )
     path = Path(path)
-    with path.open(newline="") as handle:
-        if not (marked := handle.read(1) == "\ufeff"):
-            handle.seek(0)
-        rows = _csv_rows(path, handle, delimiter)
-        first_line, first = next(rows, (0, None))
-        if first is None:
-            raise ValueError(f"{path}: file contains no data")
-        index: int | None = int(column) if column.lstrip("-").isdigit() else None
-        header_lines = first_line
-        if index is None:
-            header = [cell.strip() for cell in first]
-            if column not in header:
-                raise ValueError(f"{path}: no column named {column!r} in header {header}")
-            index = header.index(column)
-        elif -len(first) <= index < len(first) and _NUMBER_START.match(first[index]):
-            header_lines = 0  # a number, or a malformed one that the data parse reports
+    try:
+        with path.open(newline="") as handle:
+            if not (marked := handle.read(1) == "\ufeff"):
+                handle.seek(0)
+            rows = _csv_rows(path, handle, delimiter)
+            first_line, first = next(rows, (0, None))
+            if first is None:
+                raise ValueError(f"{path}: file contains no data")
+            index: int | None = int(column) if column.lstrip("-").isdigit() else None
+            header_lines = first_line
+            if index is None:
+                header = [cell.strip() for cell in first]
+                if column not in header:
+                    raise ValueError(f"{path}: no column named {column!r} in header {header}")
+                index = header.index(column)
+            elif -len(first) <= index < len(first) and _NUMBER_START.match(first[index]):
+                header_lines = 0  # a number, or a malformed one that the data parse reports
 
-        values = None
-        if path.suffix not in _COMPRESSED_SUFFIXES:
-            # TypeError: a '"' delimiter; OverflowError: a column index past any index.
-            with (contextlib.suppress(ValueError, TypeError, OverflowError),
-                  warnings.catch_warnings()):
-                # A header-only file: the empty result fails validation below.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                values = np.loadtxt(str(path), delimiter=delimiter, skiprows=header_lines,
-                                    usecols=index, comments=None, quotechar='"', ndmin=1,
-                                    encoding="utf-8-sig" if marked else None)
-        if values is None:
-            values = []
-            for line, row in itertools.chain([] if header_lines else [(first_line, first)], rows):
-                try:
-                    values.append(float(row[index]))
-                except (ValueError, IndexError) as exc:
-                    raise ValueError(
-                        f"{path}:{line}: cannot read column {column!r}: {exc}"
-                    ) from exc
+            values = None
+            if path.suffix not in _COMPRESSED_SUFFIXES:
+                # TypeError: a '"' delimiter; OverflowError: a column index past any index.
+                with (contextlib.suppress(ValueError, TypeError, OverflowError),
+                      warnings.catch_warnings()):
+                    # A header-only file: the empty result fails validation below.
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    values = np.loadtxt(str(path), delimiter=delimiter, skiprows=header_lines,
+                                        usecols=index, comments=None, quotechar='"', ndmin=1,
+                                        encoding="utf-8-sig" if marked else None)
+            if values is None:
+                values = []
+                unread = [] if header_lines else [(first_line, first)]
+                for line, row in itertools.chain(unread, rows):
+                    try:
+                        values.append(float(row[index]))
+                    except (ValueError, IndexError) as exc:
+                        raise ValueError(
+                            f"{path}:{line}: cannot read column {column!r}: {exc}"
+                        ) from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: cannot decode the file as {handle.encoding}: {exc.reason}"
+        ) from None
     return validate_series(values, delta)
 
 
@@ -443,8 +452,10 @@ def main(argv=None) -> int:
             args.parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
-    except (DetectionError, OSError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (DetectionError, OSError, ValueError, MemoryError) as exc:
+        # numpy raises a private subclass of MemoryError.
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 2
 
 

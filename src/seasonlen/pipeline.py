@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from seasonlen.autocorr import _autocorrelation_in_place
+from seasonlen.autocorr import _acf_size, _autocorrelation_in_place
 from seasonlen.core import (
     DetectionConfig,
     DetectionDiagnostics,
@@ -82,10 +82,13 @@ def detect_season_length(
 
     # One buffer carries the series from upsampling to the zero search: the
     # filter streams through it, later kernels overwrite it, and the trend
-    # fits build their time index in blocks, so no other array that long is kept.
+    # fits build their time index in blocks, so no other array that long is
+    # kept. It has room for the autocorrelation's padded grid past the series.
     spec = design_butterworth_lowpass(config.filter_order, config.filter_cutoff)
     e = _exponent(series.values.max(), series.values.min())
-    values = _smooth(np.ldexp(series.values, -e), config.interp_factor, spec)
+    n = int(config.interp_factor) * (len(series) - 1) + 1
+    buffer = _smooth(np.ldexp(series.values, -e), config.interp_factor, spec, _acf_size(n))
+    values = buffer[:n]
     if np.ptp(values) == 0.0:
         return _result(1)
 
@@ -94,7 +97,7 @@ def detect_season_length(
     # The residual can be far smaller than the series (3e-173 from 7 values
     # at cutoff 3e-12, order 14), and its squares would underflow.
     np.ldexp(values, -_exponent(values.max(), values.min()), out=values)
-    _autocorrelation_in_place(values)
+    _autocorrelation_in_place(buffer, n)
     _remove_polynomial(values, 1)
 
     zeros = _find_zeros(values, config.zero_tolerance_rel)

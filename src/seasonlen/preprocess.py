@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from seasonlen.core import _MAX_VALUES, TimeSeries, TooShortError, _is_count, _shown
+from seasonlen.core import _MAX_VALUES, TimeSeries, TooShortError, _exponent, _is_count, _shown
 
 __all__ = [
     "FilterSpec",
@@ -47,13 +47,21 @@ def interpolate_linear(series: TimeSeries, factor: int) -> TimeSeries:
     The output has length factor*(n-1)+1; every original observation
     lands unchanged at an index that is a multiple of factor, and the
     inserted points lie on the straight line between their neighbors.
-    A factor of 1 returns the input unchanged.
+    A factor of 1 returns the input unchanged. A difference between
+    neighbours overflows only from 2**1023 up, so values that reach it
+    are halved first, which can move an inserted point below 2**-1021
+    by its last bit; the observations are copied from the input.
     """
     if not _is_count(factor):
         raise ValueError(f"interpolation factor must be a positive integer, got {factor}")
     if factor == 1:
         return series
-    return TimeSeries(_smooth(series.values, factor), series.delta / factor)
+    x = series.values
+    e = max(_exponent(x.max(), x.min()) - 1023, 0)
+    values = _smooth(np.ldexp(x, -e), factor)
+    np.ldexp(values, e, out=values)
+    values[::factor] = x
+    return TimeSeries(values, series.delta / factor)
 
 
 #: Longest row of the modal scan, 128 KiB of complex partial sums.
@@ -191,12 +199,16 @@ def apply_filter(series: TimeSeries, spec: FilterSpec) -> TimeSeries:
     edges carry no spurious step transient. The series is filtered
     relative to its first sample, which the unit DC gain passes through
     unchanged; an offset many orders above the variation then costs no
-    precision inside the recursion.
+    precision inside the recursion. It runs on the values scaled as in
+    detect_season_length, so no finite input overflows its sums.
 
     Raises:
         TooShortError: fewer than 6*order+1 samples.
     """
-    return TimeSeries(_smooth(series.values, 1, spec), series.delta)
+    x = series.values
+    e = _exponent(x.max(), x.min())
+    values = _smooth(np.ldexp(x, -e), 1, spec)
+    return TimeSeries(np.ldexp(values, e, out=values), series.delta)
 
 
 #: Values per block of the upsampling and of the scan: 256 KiB, within L2.
@@ -244,8 +256,10 @@ def _scan(u: np.ndarray, carry, mode: FilterMode):
     return carry
 
 
-def _smooth(x: np.ndarray, factor: int, spec: FilterSpec | None = None) -> np.ndarray:
+def _smooth(x: np.ndarray, factor: int, spec: FilterSpec | None = None, size=0) -> np.ndarray:
     """x upsampled by factor into a new array, then filtered by spec unless it is None.
+
+    The array is at least size values long; those past factor*(n-1)+1 are left unset.
 
     The upsampling fills _BLOCK // factor raw intervals at a time; to
     filter, each block is centred on x[0], whose steady state is then
@@ -268,9 +282,10 @@ def _smooth(x: np.ndarray, factor: int, spec: FilterSpec | None = None) -> np.nd
             f"filter of order {spec.order} needs more than {6 * spec.order} samples, got {length}"
         )
     try:
-        out = np.empty(length)
+        buffer = np.empty(max(length, size))
     except MemoryError:
         raise ValueError(f"{upsampled}, more than can be allocated") from None
+    out = buffer[:length]
     per = max(1, _BLOCK // factor)
     for lo in range(0, n - 1, per):
         hi = min(lo + per, n - 1)  # raw intervals lo:hi; the last block also holds x[-1]
@@ -290,7 +305,7 @@ def _smooth(x: np.ndarray, factor: int, spec: FilterSpec | None = None) -> np.nd
         for mode in spec.modes:
             _scan(out[::-1], mode.steady * last, mode)
         out += x[0]
-    return out
+    return buffer
 
 
 def magnitude_response(spec: FilterSpec, omegas) -> np.ndarray:

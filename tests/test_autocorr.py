@@ -11,9 +11,10 @@ from seasonlen.autocorr import (
     _COLUMN_BLOCK,
     _SPLIT_BLOCK,
     _SPLIT_NFFT,
+    _acf_size,
+    _autocorrelation_in_place,
     _factor,
     _fast_len,
-    _grid,
     _twiddle_tables,
     autocorrelation,
     detrend_acf,
@@ -160,7 +161,8 @@ def complex_spectrum_acf(values):
     mean = x.mean()
     scale = -int(np.frexp(max(x.max() - mean, mean - x.min()))[1])
     n1, n2 = _factor(x.size)
-    grid, rows, last = _grid(x, n2)
+    rows = x.size // n2
+    grid, last = x[:rows * n2].reshape(rows, n2), x[rows * n2:]
     spectrum = np.empty((n1 // 2 + 1, n2), dtype=np.complex128)
     buffer = np.zeros((_COLUMN_BLOCK, n1))
     for start in range(0, n2, _COLUMN_BLOCK):
@@ -201,12 +203,12 @@ def complex_spectrum_acf(values):
 
 
 def storage_cases(n):
-    """The cases of the four-step kernel's storage that a split length n meets.
+    """The cases of the four-step storage that a split length n meets.
 
-    The tail is the spectrum's rows past the grid of full rows; columns
-    from n2//2 + 1 on are filled as mirrors; a row-pass block of
-    _SPLIT_BLOCK // n2 rows holds grid and tail rows unless the grid's
-    row count is a multiple of it.
+    The tail is the spectrum's rows past the series' full rows, which the
+    kernel pads from the series' end; columns from n2//2 + 1 on are
+    filled as mirrors; a row-pass block of _SPLIT_BLOCK // n2 rows holds
+    full and tail rows unless the full row count is a multiple of it.
     """
     n1, n2 = _factor(n)
     rows, partial = divmod(n, n2)
@@ -296,8 +298,36 @@ class TestTransformLength:
         assert max(n1, n2) == min(max(a, b) for a, b in pairs if a * b == n1 * n2)
 
 
+    @given(n=st.integers(min_value=64_801, max_value=5_000_011))
+    @example(n=64_801)
+    @example(n=300_000)  # 400 x 750: the series fills whole rows
+    @example(n=3_999_997)
+    @settings(max_examples=40, deadline=None)
+    def test_a_split_buffer_holds_the_half_spectrum_grid(self, n):
+        n1, n2 = _factor(n)
+        assert _acf_size(n) == (n1 // 2 + 1) * n2
+        assert _acf_size(n) >= n
+
+    @pytest.mark.parametrize("n", [4, 51_997, 64_800])
+    def test_a_monolithic_buffer_holds_the_series(self, n):
+        assert _acf_size(n) == n
+
+
 class TestSplitTransform:
     """Series long enough for the four-step transform (n2 > 1 columns)."""
+
+    @pytest.mark.parametrize("n", [64_801, 69_990, 131_101, 300_000])
+    def test_kernel_keeps_to_its_buffer(self, n):
+        # Every cell the kernel may use starts as NaN: the series' grid
+        # padding must be written before it is read, and the cells past
+        # _acf_size(n) must stay as they are.
+        x = noisy_sine(n, n)
+        size = _acf_size(n)
+        buffer = np.full(size + 1000, np.nan)
+        np.ldexp(x, -math.frexp(np.abs(x).max())[1], out=buffer[:n])
+        _autocorrelation_in_place(buffer, n)
+        assert buffer[:n].tobytes() == autocorrelation(validate_series(x)).values.tobytes()
+        assert np.isnan(buffer[size:]).all()
 
     @given(n=st.integers(min_value=SPLIT_N, max_value=3 * SPLIT_N), seed=st.integers(0, 2**32 - 1))
     @example(n=131_072, seed=0)  # 486 columns, 338 in the last row

@@ -460,6 +460,33 @@ class TestDetectCommand:
         assert code == 2
         assert "TooShort" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("encoding", ["utf-16", "latin-1"])
+    def test_a_file_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys, encoding):
+        path = tmp_path / "series.csv"
+        path.write_bytes("café\n1\n2\n3\n4\n5\n6\n".encode(encoding))
+        code = main(["detect", "--input", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: ValueError: {path}: cannot decode the file as ")
+
+    def test_running_out_of_memory_exits_2_with_one_error_line(self, tmp_path, capsys,
+                                                              monkeypatch):
+        class _ArrayMemoryError(MemoryError):
+            """Stands in for numpy's private subclass."""
+
+        message = "Unable to allocate 30.5 MiB for an array with shape (3999997,)"
+
+        def exhausted(*args):
+            raise _ArrayMemoryError(message)
+
+        monkeypatch.setattr(seasonlen.cli, "detect_season_length", exhausted)
+        path = tmp_path / "sine.csv"
+        write_sine_csv(path, 24, 96)
+        code = main(["detect", "--input", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: MemoryError: {message}\n"
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["detect", "--input", str(tmp_path / "nope.csv")])
         assert code == 2

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from seasonlen.autocorr import _autocorrelation_in_place, autocorrelation, detrend_acf
+from seasonlen.autocorr import _acf_size, _autocorrelation_in_place, autocorrelation, detrend_acf
 from seasonlen.core import (
     DetectionConfig,
     DetectionDiagnostics,
@@ -325,9 +325,12 @@ class TestDetectSeasonLength:
         assert self.traced_peak_in_upsampled_arrays(
             1_000_000, lambda series: _smooth(series.values, 4, spec)
         ) <= 1.2
-        assert self.traced_peak_in_upsampled_arrays(
-            1_000_000, lambda series: _autocorrelation_in_place(_smooth(series.values, 4))
-        ) <= 2.6
+        n = 4 * (1_000_000 - 1) + 1
+
+        def autocorrelate(series):
+            _autocorrelation_in_place(_smooth(series.values, 4, None, _acf_size(n)), n)
+
+        assert self.traced_peak_in_upsampled_arrays(1_000_000, autocorrelate) <= 2.6
 
     @pytest.mark.parametrize(
         "amplitude, offset, period, n, near_period",

@@ -68,6 +68,19 @@ class TestInterpolateLinear:
         with pytest.raises(ValueError, match="interp_factor 4611686018427387904 upsamples 4"):
             interpolate_linear(TimeSeries(np.arange(4.0)), 2**62)
 
+    def test_values_near_the_float_maximum_interpolate_as_their_halves(self):
+        # Unscaled, the differences between neighbours overflow.
+        x = np.tile([1.5e308, -1.5e308], 20)
+        out = interpolate_linear(TimeSeries(x), 4).values
+        assert out.tobytes() == (2 * interpolate_linear(TimeSeries(x / 2), 4).values).tobytes()
+
+    def test_halving_keeps_a_subnormal_observation(self):
+        # Halved, 5e-324 rounds to 0; the observations are copied as given.
+        x = np.tile([1.5e308, 5e-324, -1.5e308], 20)
+        out = interpolate_linear(TimeSeries(x), 3).values
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out[::3], x)
+
     @given(values=sane_values, factor=st.integers(min_value=1, max_value=5))
     @settings(max_examples=60)
     def test_decimation_round_trip(self, values, factor):
@@ -311,6 +324,14 @@ class TestApplyFilter:
         series = validate_series(np.full(100, 7.3))
         out = apply_filter(series, spec)
         assert np.abs(out.values - 7.3).max() < 1e-12
+
+    def test_values_near_the_float_maximum_filter_as_their_scaled_copy(self):
+        # Unscaled, the values centred on the first one overflow.
+        x = np.tile([1.5e308, -1.5e308], 20)
+        spec = design_butterworth_lowpass(2, 0.05 * math.pi)
+        out = apply_filter(TimeSeries(x), spec).values
+        scaled = apply_filter(TimeSeries(np.ldexp(x, -1024)), spec).values
+        assert out.tobytes() == np.ldexp(scaled, 1024).tobytes()
 
     def test_too_short(self):
         spec = design_butterworth_lowpass(2, 0.05 * math.pi)
