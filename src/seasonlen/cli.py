@@ -436,7 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("manifest", help="manifest.jsonl produced by gen")
     evaluate.add_argument("--margin", type=float, default=0.2,
                           help="relative error accepted as a pass")
-    evaluate.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    evaluate.add_argument("--jobs", type=int, default=1,
+                          help="parallel workers; above 1, every pass starts a process pool,"
+                          " which costs more than it saves on a handful of cases")
     evaluate.add_argument("--out", default=None, help="where to write per-case records")
     _add_config_flags(evaluate)
     evaluate.set_defaults(func=cmd_eval, parser=evaluate)

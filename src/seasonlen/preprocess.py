@@ -204,10 +204,17 @@ def apply_filter(series: TimeSeries, spec: FilterSpec) -> TimeSeries:
 
     Raises:
         TooShortError: fewer than 6*order+1 samples.
+        OverflowError: the filtered series overshoots the float maximum,
+            as a step between values near it can.
     """
     x = series.values
     e = _exponent(x.max(), x.min())
     values = _smooth(np.ldexp(x, -e), 1, spec)
+    if _exponent(values.max(), values.min()) + e > 1024:
+        raise OverflowError(
+            f"filter of order {spec.order} at cutoff {spec.cutoff} overshoots"
+            f" the float maximum {np.finfo(np.float64).max}"
+        )
     return TimeSeries(np.ldexp(values, e, out=values), series.delta)
 
 

@@ -1,16 +1,14 @@
 """Zero analysis of the detrended autocorrelation.
 
 Adjacent zeros of a seasonal autocorrelation sit half a season apart.
-Real data adds and drops zeros, so the raw zero-to-zero distances are
-cleaned in stages: distances of one lag or less are discarded (no
-season is shorter than two observations), the survivors are sorted
-ascending, and the sorted sequence is segmented wherever the ratio
-between neighboring distances jumps. The longest stable segment is the
-set of trustworthy distances; twice their mean is the season length.
-
-The zeros come from one pass over the lags. Distances are measured in
-upsampled lag units throughout and converted back to original sample
-counts only in the final averaging step.
+find_zeros locates them in one pass over the lags. Real data adds and
+drops zeros, so estimate_from_zeros cleans the zero-to-zero distances
+in stages: distances of one lag or less are discarded (no season is
+shorter than two observations), the survivors are sorted ascending,
+and the sorted sequence is segmented wherever the ratio between
+neighboring distances jumps. The longest stable segment is the set of
+trustworthy distances; twice their mean is the season length. Distances
+stay in upsampled lag units until that final average.
 """
 
 from __future__ import annotations
@@ -19,15 +17,7 @@ import numpy as np
 
 from seasonlen.core import DetectionDiagnostics, TimeSeries
 
-__all__ = [
-    "find_zeros",
-    "zero_distances",
-    "quotients",
-    "change_points",
-    "select_interval",
-    "season_from_interval",
-    "estimate_from_zeros",
-]
+__all__ = ["find_zeros", "estimate_from_zeros"]
 
 #: Lags per block of the zero pass: its products take 512 KiB.
 _BLOCK = 1 << 16
@@ -80,55 +70,19 @@ def _find_zeros(v: np.ndarray, epsilon_rel: float) -> np.ndarray:
     return sums / counts
 
 
-def zero_distances(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances between adjacent zeros, raw and cleaned.
-
-    Returns the consecutive differences and, separately, the ascending
-    sort of those that exceed one lag; shorter gaps would imply a
-    season of fewer than two observations and are discarded.
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.size > 1 and not np.all(np.diff(alpha) > 0):
-        raise ValueError("zero positions must be strictly ascending")
-    raw = np.diff(alpha)
-    cleaned = np.sort(raw[raw > 1.0])
-    return raw, cleaned
-
-
-def quotients(distances: np.ndarray) -> np.ndarray:
-    """Ratios between consecutive sorted distances.
-
-    On an ascending input every ratio is >= 1; values near 1 mark runs
-    of nearly equal distances, larger values mark jumps.
-
-    Raises:
-        ValueError: fewer than two distances.
-    """
-    distances = np.asarray(distances, dtype=np.float64)
-    if distances.size < 2:
-        raise ValueError(f"need at least 2 distances, got {distances.size}")
-    return distances[1:] / distances[:-1]
-
-
-def change_points(gamma: np.ndarray, k_quot: float) -> np.ndarray:
+def _change_points(gamma: np.ndarray, k_quot: float) -> np.ndarray:
     """Indices where the quotient sequence changes regime.
 
-    Each position i = 1..m (1-based, m quotients) is classified by the
-    first matching rule: the opening position marks index 1 when the
+    Each position i = 1..m (1-based, m >= 2 quotients) is classified by
+    the first matching rule: the opening position marks index 1 when the
     first two quotients agree within k_quot; the final position always
     marks itself; a jump larger than k_quot between quotient i and i+1
     marks index i+1; everything else contributes nothing. The marks
     form a non-decreasing integer sequence; zeros are dropped and
     consecutive duplicates collapse, since the final-position rule can
     repeat the last jump mark and a zero-width interval would result.
-
-    Raises:
-        ValueError: fewer than two quotients.
     """
-    gamma = np.asarray(gamma, dtype=np.float64)
     m = gamma.size
-    if m < 2:
-        raise ValueError(f"need at least 2 quotients, got {m}")
     marks = np.zeros(m, dtype=np.int64)
     jump = np.abs(np.diff(gamma)) > k_quot
     positions = np.arange(2, m + 1)
@@ -141,80 +95,59 @@ def change_points(gamma: np.ndarray, k_quot: float) -> np.ndarray:
     return nonzero[keep]
 
 
-def select_interval(points: np.ndarray, distances: np.ndarray) -> tuple[int, int]:
-    """Bounds of the longest run of stable distances.
-
-    Picks the widest gap between consecutive change points; ties go to
-    the earlier gap, which favors the smaller distances and hence the
-    fundamental period over its multiples. The returned pair (a, b) is
-    1-based and half-open: members are the distances at positions
-    a+1..b, exactly b-a of them.
-
-    Raises:
-        ValueError: fewer than two change points, or bounds that do not
-            fit the distances.
-    """
-    points = np.asarray(points, dtype=np.int64)
-    if points.size < 2:
-        raise ValueError(f"need at least 2 change points, got {points.size}")
-    gaps = np.diff(points)
-    best = int(np.argmax(gaps))
-    a = int(points[best])
-    b = int(points[best + 1])
-    if not 1 <= a < b <= np.asarray(distances).size:
-        raise ValueError(f"interval ({a}, {b}] does not fit {len(distances)} distances")
-    return a, b
-
-
-def season_from_interval(
-    distances: np.ndarray, a: int, b: int, interp_factor: int
-) -> float:
-    """Season length from the selected distances.
-
-    Averages the b-a members of the half-open selection (a, b], doubles
-    the mean (zeros sit half a season apart), and converts from
-    upsampled lag units back to original sample counts.
-    """
-    distances = np.asarray(distances, dtype=np.float64)
-    window = distances[a:b]
-    return 2.0 * float(window.sum()) / (b - a) / interp_factor
-
-
 def estimate_from_zeros(
     zeros: np.ndarray, quotient_threshold: float, interp_factor: int
 ) -> tuple[float | None, DetectionDiagnostics]:
-    """Run the distance segmentation and return the season estimate.
+    """Segment the distances between adjacent zeros and return the season estimate.
 
-    Every estimate is season_from_interval over one window (a, b] of the
-    sorted surviving distances: (0, 1] for a single distance, or for two
-    whose ratio exceeds 1 + quotient_threshold (the smaller one wins);
-    (0, 2] for two closer distances; and the select_interval run of the
-    quotient segmentation for three or more. No window means no season:
-    no distance survived, or the change points collapsed to one. The
-    returned record holds the distances, the change points and, only
-    for a segmentation window, the interval.
+    The steps, in order: (1) the distances between adjacent zeros; (2)
+    those longer than one lag, sorted ascending; (3) the quotient of
+    each to the one before; (4) the _change_points of the quotients;
+    (5) the widest gap (a, b] between consecutive change points, 1-based
+    and half-open, so it holds the b-a distances at positions a+1..b; a
+    tie goes to the earlier gap, which favors the smaller distances and
+    hence the fundamental period over its multiples; (6) the season:
+    twice the mean of those distances, divided by interp_factor to turn
+    upsampled lags back into original sample counts.
+
+    Steps 3 to 5 need three or more distances. With fewer, the window is
+    (0, 1] for a single distance, or for two whose ratio exceeds 1 +
+    quotient_threshold (the smaller one wins), and (0, 2] for two closer
+    distances. No window means no season: no distance survived, or the
+    change points collapsed to one. The returned record holds the
+    distances, the change points and, only for a segmentation window,
+    the interval.
+
+    Raises:
+        ValueError: zeros not strictly ascending.
     """
-    raw, cleaned = zero_distances(zeros)
-    raw.flags.writeable = cleaned.flags.writeable = False
-    points = None
-    window = None
-    if cleaned.size >= 3:
-        points = change_points(quotients(cleaned), quotient_threshold)
+    raw = np.diff(np.asarray(zeros, dtype=np.float64))
+    if not np.all(raw > 0):
+        raise ValueError("zero positions must be strictly ascending")
+    d = np.sort(raw[raw > 1.0])
+    raw.flags.writeable = d.flags.writeable = False
+    points = window = None
+    if d.size >= 3:
+        points = _change_points(d[1:] / d[:-1], quotient_threshold)
         points.flags.writeable = False
         if points.size >= 2:
-            window = select_interval(points, cleaned)
-    elif cleaned.size == 2 and quotients(cleaned)[0] - 1.0 <= quotient_threshold:
+            best = int(np.argmax(np.diff(points)))
+            window = int(points[best]), int(points[best + 1])
+    elif d.size == 2 and d[1] / d[0] - 1.0 <= quotient_threshold:
         window = (0, 2)
-    elif cleaned.size > 0:
+    elif d.size > 0:
         window = (0, 1)
-    season = None if window is None else season_from_interval(cleaned, *window, interp_factor)
+    season = None
+    if window is not None:
+        a, b = window
+        season = 2.0 * float(d[a:b].sum()) / (b - a) / interp_factor
     diagnostics = DetectionDiagnostics(
         zero_count=len(zeros),
         interval=window if points is not None else None,
         member_count=0 if window is None else window[1] - window[0],
-        low_confidence=cleaned.size == 1,
+        low_confidence=d.size == 1,
         raw_distances=raw,
-        distances=cleaned,
+        distances=d,
         change_points=points,
     )
     return season, diagnostics

@@ -25,12 +25,7 @@ from seasonlen.preprocess import (
     magnitude_response,
 )
 from seasonlen.synthgen import SeriesSpec, gen_family, generate
-from seasonlen.zerocross import (
-    change_points,
-    quotients,
-    season_from_interval,
-    select_interval,
-)
+from seasonlen.zerocross import estimate_from_zeros
 
 REFERENCE_DISTANCES = np.array(
     [281.0, 546.0, 697.0, 703.0, 704.0, 705.0, 706.0, 706.0, 1411.0, 1411.0, 2823.0]
@@ -58,16 +53,15 @@ def admitting_config(period):
 
 
 def test_criterion_01_distance_segmentation_golden():
+    zeros = np.cumsum([0.0, *REFERENCE_DISTANCES])
     start = time.perf_counter()
-    gamma = quotients(REFERENCE_DISTANCES)
-    points = change_points(gamma, 0.5)
-    a, b = select_interval(points, REFERENCE_DISTANCES)
-    season = season_from_interval(REFERENCE_DISTANCES, a, b, 1)
+    season, diagnostics = estimate_from_zeros(zeros, 0.5, 1)
     elapsed = time.perf_counter() - start
+    a, b = diagnostics.interval
     ok = (
-        points.tolist() == [2, 8, 9, 10]
+        diagnostics.change_points.tolist() == [2, 8, 9, 10]
         and (a, b) == (2, 8)
-        and REFERENCE_DISTANCES[a:b].tolist() == [697, 703, 704, 705, 706, 706]
+        and diagnostics.distances[a:b].tolist() == [697, 703, 704, 705, 706, 706]
         and season == 1407.0
         and elapsed < 1e-3
     )

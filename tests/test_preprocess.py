@@ -1,6 +1,7 @@
 """Interpolation and zero-phase Butterworth filtering."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,17 @@ class TestApplyFilter:
         out = apply_filter(TimeSeries(x), spec).values
         scaled = apply_filter(TimeSeries(np.ldexp(x, -1024)), spec).values
         assert out.tobytes() == np.ldexp(scaled, 1024).tobytes()
+
+    def test_an_overshoot_past_the_float_maximum_is_an_overflow(self):
+        # The step is finite; the filter's overshoot of it is not, which
+        # is no fault of the input. Half the step fits.
+        x = np.repeat([-1.7e308, 1.7e308], 50)
+        spec = design_butterworth_lowpass(4, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"order 4 at cutoff 0\.1 .* 1\.797"):
+                apply_filter(validate_series(x), spec)
+            assert np.isfinite(apply_filter(validate_series(x / 2), spec).values).all()
 
     def test_too_short(self):
         spec = design_butterworth_lowpass(2, 0.05 * math.pi)

@@ -7,17 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from seasonlen.autocorr import autocorrelation, detrend_acf
-from seasonlen.core import TimeSeries, validate_series
-from seasonlen.zerocross import (
-    _BLOCK,
-    change_points,
-    estimate_from_zeros,
-    find_zeros,
-    quotients,
-    season_from_interval,
-    select_interval,
-    zero_distances,
-)
+from seasonlen.core import DetectionDiagnostics, TimeSeries, validate_series
+from seasonlen.zerocross import _BLOCK, _change_points, estimate_from_zeros, find_zeros
 
 # The reference distance vector used throughout: two stable runs around
 # 703 and 1411 plus assorted stragglers.
@@ -164,102 +155,171 @@ def test_find_zeros_matches_a_lag_by_lag_loop(values, epsilon_rel):
     assert got.tolist() == pytest.approx(zeros_lag_by_lag(values, epsilon_rel), rel=1e-12)
 
 
+def zeros_with_distances(*distances):
+    """Zeros from 100 on whose adjacent distances are the given ones."""
+    return np.cumsum([100.0, *distances])
+
+
+def distances_of(zeros):
+    _, diagnostics = estimate_from_zeros(np.array(zeros), 0.5, 1)
+    return diagnostics.raw_distances.tolist(), diagnostics.distances.tolist()
+
+
 class TestZeroDistances:
     def test_plain_differences(self):
-        raw, cleaned = zero_distances(np.array([10.0, 20.5, 31.0]))
-        assert np.allclose(raw, [10.5, 10.5])
-        assert np.allclose(cleaned, [10.5, 10.5])
+        assert distances_of([10.0, 20.5, 31.0]) == ([10.5, 10.5], [10.5, 10.5])
 
     def test_short_gap_discarded(self):
-        raw, cleaned = zero_distances(np.array([5.0, 5.8, 16.0]))
+        raw, cleaned = distances_of([5.0, 5.8, 16.0])
         assert np.allclose(raw, [0.8, 10.2])
         assert np.allclose(cleaned, [10.2])
 
     def test_sorted_ascending(self):
         zeros = np.cumsum([0.0, 703.0, 704.0, 281.0, 1411.0])
-        _, cleaned = zero_distances(zeros)
-        assert np.allclose(cleaned, [281.0, 703.0, 704.0, 1411.0])
+        assert distances_of(zeros)[1] == [281.0, 703.0, 704.0, 1411.0]
 
     @pytest.mark.parametrize(
-        "alpha", [[3.0, 2.0, 5.0], [1.0, 4.0, 4.0]], ids=["descending", "repeated"]
+        "zeros", [[3.0, 2.0, 5.0], [1.0, 4.0, 4.0]], ids=["descending", "repeated"]
     )
-    def test_zeros_must_ascend(self, alpha):
+    def test_zeros_must_ascend(self, zeros):
         with pytest.raises(ValueError, match="strictly ascending"):
-            zero_distances(np.array(alpha))
+            estimate_from_zeros(np.array(zeros), 0.5, 1)
 
     def test_exactly_one_lag_discarded(self):
-        _, cleaned = zero_distances(np.array([1.0, 2.0, 3.0, 10.0]))
-        assert np.allclose(cleaned, [7.0])
+        assert distances_of([1.0, 2.0, 3.0, 10.0])[1] == [7.0]
 
 
 class TestQuotients:
+    """The quotients d[i] / d[i-1] of the sorted distances, seen through their change points."""
+
     def test_direct_evaluation(self):
-        assert np.allclose(quotients(np.array([4.0, 4.0, 8.0])), [1.0, 2.0])
+        # Quotients [1, 2] jump by 1, so the marks collapse to one point.
+        season, analysis = estimate_from_zeros(zeros_with_distances(4.0, 4.0, 8.0), 0.5, 1)
+        assert season is None
+        assert analysis.change_points.tolist() == [2]
 
     def test_constant_distances(self):
-        assert np.allclose(quotients(np.array([7.0, 7.0, 7.0, 7.0])), [1.0, 1.0, 1.0])
+        # Quotients [1, 1, 1] never jump: one run from the first to the last mark.
+        season, analysis = estimate_from_zeros(zeros_with_distances(*[7.0] * 4), 0.5, 1)
+        assert analysis.change_points.tolist() == [1, 3]
+        assert season == 14.0
 
     def test_reference_vector(self):
-        expected = [1.943, 1.277, 1.009, 1.001, 1.001, 1.001, 1.000, 1.999, 1.000, 2.001]
-        assert np.allclose(quotients(REFERENCE_DISTANCES), expected, atol=5e-4)
+        # Quotients 1.943, 1.277, 1.009, 1.001, 1.001, 1.001, 1.000, 1.999,
+        # 1.000, 2.001: their neighbours differ by 0.666, 0.268, <= 0.008,
+        # 0.999, 0.999 and 1.001, so each threshold adds or drops marks.
+        zeros = zeros_with_distances(*REFERENCE_DISTANCES)
+        expected = {0.2: [2, 3, 8, 9, 10], 0.5: [2, 8, 9, 10], 0.7: [1, 8, 9, 10], 1.01: [1, 10]}
+        for threshold, points in expected.items():
+            _, analysis = estimate_from_zeros(zeros, threshold, 1)
+            assert analysis.change_points.tolist() == points, threshold
 
     def test_too_few(self):
-        with pytest.raises(ValueError):
-            quotients(np.array([5.0]))
+        # One distance has no quotient: the estimate is that distance,
+        # doubled and flagged, with no segmentation.
+        season, analysis = estimate_from_zeros(zeros_with_distances(5.0), 0.5, 1)
+        assert season == 10.0
+        assert analysis.low_confidence
+        assert analysis.change_points is None
+        assert analysis.interval is None
+        assert analysis.member_count == 1
 
 
 class TestChangePoints:
     def test_reference_vector(self):
-        gamma = quotients(REFERENCE_DISTANCES)
-        assert change_points(gamma, 0.5).tolist() == [2, 8, 9, 10]
+        gamma = REFERENCE_DISTANCES[1:] / REFERENCE_DISTANCES[:-1]
+        assert _change_points(gamma, 0.5).tolist() == [2, 8, 9, 10]
 
     def test_flat_quotients(self):
-        assert change_points(np.array([1.0, 1.0, 1.0]), 0.5).tolist() == [1, 3]
+        assert _change_points(np.array([1.0, 1.0, 1.0]), 0.5).tolist() == [1, 3]
 
     def test_minimal_pair_collapses(self):
-        assert change_points(np.array([1.0, 5.0]), 0.5).tolist() == [2]
+        assert _change_points(np.array([1.0, 5.0]), 0.5).tolist() == [2]
 
     def test_too_few(self):
-        with pytest.raises(ValueError):
-            change_points(np.array([1.0]), 0.5)
+        # Two distances give one quotient, too few to mark: their ratio
+        # decides between averaging both and keeping the smaller.
+        for distances, season, members in [((5.0, 6.0), 11.0, 2), ((5.0, 20.0), 10.0, 1)]:
+            got, analysis = estimate_from_zeros(zeros_with_distances(*distances), 0.5, 1)
+            assert got == season
+            assert analysis.change_points is None
+            assert analysis.interval is None
+            assert analysis.member_count == members
+            assert not analysis.low_confidence
 
 
 class TestSelectInterval:
     def test_reference_vector(self):
-        a, b = select_interval(np.array([2, 8, 9, 10]), REFERENCE_DISTANCES)
+        season, analysis = estimate_from_zeros(zeros_with_distances(*REFERENCE_DISTANCES), 0.5, 1)
+        a, b = analysis.interval
         assert (a, b) == (2, 8)
-        assert REFERENCE_DISTANCES[a:b].tolist() == [697, 703, 704, 705, 706, 706]
+        assert analysis.distances[a:b].tolist() == [697, 703, 704, 705, 706, 706]
+        assert season == 1407.0
 
     def test_two_points(self):
-        assert select_interval(np.array([1, 3]), np.array([7.0, 7.0, 7.0, 7.0])) == (1, 3)
+        _, analysis = estimate_from_zeros(zeros_with_distances(*[7.0] * 4), 0.5, 1)
+        assert analysis.interval == (1, 3)
 
     def test_tie_free_argmax(self):
-        distances = np.linspace(2, 10, 5)
-        assert select_interval(np.array([1, 4, 5]), distances) == (1, 4)
+        # Quotients [1, 1, 1, 2, 1] mark [1, 4, 5]: the gap of 3 wins.
+        distances = [10.0, 10.0, 10.0, 10.0, 20.0, 20.0]
+        season, analysis = estimate_from_zeros(zeros_with_distances(*distances), 0.5, 1)
+        assert analysis.change_points.tolist() == [1, 4, 5]
+        assert analysis.interval == (1, 4)
+        assert season == 20.0
 
     def test_tie_breaks_toward_smaller(self):
-        distances = np.linspace(2, 10, 6)
-        assert select_interval(np.array([1, 3, 5]), distances) == (1, 3)
+        # Quotients [1, 1, 2, 2, 1] mark [1, 3, 5]: two gaps of 2, and the
+        # earlier one holds the smaller distances.
+        distances = [5.0, 5.0, 5.0, 10.0, 20.0, 20.0]
+        season, analysis = estimate_from_zeros(zeros_with_distances(*distances), 0.5, 1)
+        assert analysis.change_points.tolist() == [1, 3, 5]
+        assert analysis.interval == (1, 3)
+        assert season == 10.0
 
-    @pytest.mark.parametrize("points", [[2, 20], [0, 3]], ids=["past-the-end", "before-the-start"])
-    def test_bounds_outside_the_distances(self, points):
-        with pytest.raises(ValueError, match="does not fit 11 distances"):
-            select_interval(np.array(points), REFERENCE_DISTANCES)
+    @pytest.mark.parametrize(
+        "distances, interval",
+        [
+            ((3.0, 10.0, 10.0, 10.0, 10.0, 10.0), (2, 5)),
+            ((10.0, 10.0, 10.0, 10.0, 10.0, 30.0), (1, 5)),
+        ],
+        ids=["past-the-end", "before-the-start"],
+    )
+    def test_bounds_outside_the_distances(self, distances, interval):
+        # A stable run that reaches the last or the first distance is cut
+        # at the change points, which lie in 1..len - 1: the interval never
+        # leaves the distances.
+        season, analysis = estimate_from_zeros(zeros_with_distances(*distances), 0.5, 1)
+        assert analysis.interval == interval
+        a, b = interval
+        assert 1 <= a < b <= analysis.distances.size - 1
+        assert analysis.member_count == b - a
+        assert season == 20.0
 
     def test_no_interval(self):
-        with pytest.raises(ValueError):
-            select_interval(np.array([2]), REFERENCE_DISTANCES)
+        # Distances [10, 10, 25]: quotients [1, 2.5] jump, so the marks
+        # collapse to one change point and no interval is left.
+        season, analysis = estimate_from_zeros(zeros_with_distances(10.0, 10.0, 25.0), 0.5, 1)
+        assert analysis.change_points.tolist() == [2]
+        assert analysis.interval is None
+        assert analysis.member_count == 0
+        assert season is None
 
 
 class TestSeasonFromInterval:
     def test_reference_vector_exact(self):
-        assert season_from_interval(REFERENCE_DISTANCES, 2, 8, 1) == 1407.0
+        season, _ = estimate_from_zeros(zeros_with_distances(*REFERENCE_DISTANCES), 0.5, 1)
+        assert season == 1407.0
 
     def test_uniform_distances(self):
-        assert season_from_interval(np.array([10.0, 10.0, 10.0, 10.0]), 1, 4, 1) == 20.0
+        season, analysis = estimate_from_zeros(zeros_with_distances(*[10.0] * 5), 0.5, 1)
+        assert analysis.interval == (1, 4)
+        assert season == 20.0
 
     def test_interp_factor_conversion(self):
-        assert season_from_interval(np.array([40.0, 40.0]), 1, 2, 4) == 20.0
+        season, analysis = estimate_from_zeros(zeros_with_distances(40.0, 40.0), 0.5, 4)
+        assert analysis.member_count == 2
+        assert season == 20.0
 
 
 class TestEstimateFromZeros:
@@ -391,3 +451,139 @@ def test_band_runs_from_the_in_band_indices_match_the_framed_edges_bit_for_bit(
     v = np.asarray(values)
     got = find_zeros(detrended(v), epsilon_rel)
     assert got.tobytes() == zeros_by_frame_and_diff(v, epsilon_rel).tobytes()
+
+
+# The zero analysis as five step functions, the form it had before they
+# were folded into estimate_from_zeros; code verbatim, docstrings cut short.
+
+
+def zero_distances(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances between adjacent zeros, raw and cleaned."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.size > 1 and not np.all(np.diff(alpha) > 0):
+        raise ValueError("zero positions must be strictly ascending")
+    raw = np.diff(alpha)
+    cleaned = np.sort(raw[raw > 1.0])
+    return raw, cleaned
+
+
+def quotients(distances: np.ndarray) -> np.ndarray:
+    """Ratios between consecutive sorted distances."""
+    distances = np.asarray(distances, dtype=np.float64)
+    if distances.size < 2:
+        raise ValueError(f"need at least 2 distances, got {distances.size}")
+    return distances[1:] / distances[:-1]
+
+
+def change_points(gamma: np.ndarray, k_quot: float) -> np.ndarray:
+    """Indices where the quotient sequence changes regime."""
+    gamma = np.asarray(gamma, dtype=np.float64)
+    m = gamma.size
+    if m < 2:
+        raise ValueError(f"need at least 2 quotients, got {m}")
+    marks = np.zeros(m, dtype=np.int64)
+    jump = np.abs(np.diff(gamma)) > k_quot
+    positions = np.arange(2, m + 1)
+    marks[:-1][jump] = positions[jump]
+    if not jump[0]:
+        marks[0] = 1
+    marks[-1] = m
+    nonzero = marks[marks != 0]
+    keep = np.concatenate(([True], nonzero[1:] != nonzero[:-1]))
+    return nonzero[keep]
+
+
+def select_interval(points: np.ndarray, distances: np.ndarray) -> tuple[int, int]:
+    """Bounds of the longest run of stable distances."""
+    points = np.asarray(points, dtype=np.int64)
+    if points.size < 2:
+        raise ValueError(f"need at least 2 change points, got {points.size}")
+    gaps = np.diff(points)
+    best = int(np.argmax(gaps))
+    a = int(points[best])
+    b = int(points[best + 1])
+    if not 1 <= a < b <= np.asarray(distances).size:
+        raise ValueError(f"interval ({a}, {b}] does not fit {len(distances)} distances")
+    return a, b
+
+
+def season_from_interval(
+    distances: np.ndarray, a: int, b: int, interp_factor: int
+) -> float:
+    """Season length from the selected distances."""
+    distances = np.asarray(distances, dtype=np.float64)
+    window = distances[a:b]
+    return 2.0 * float(window.sum()) / (b - a) / interp_factor
+
+
+def estimate_by_steps(
+    zeros: np.ndarray, quotient_threshold: float, interp_factor: int
+) -> tuple[float | None, DetectionDiagnostics]:
+    """estimate_from_zeros as a chain of the five step functions."""
+    raw, cleaned = zero_distances(zeros)
+    raw.flags.writeable = cleaned.flags.writeable = False
+    points = None
+    window = None
+    if cleaned.size >= 3:
+        points = change_points(quotients(cleaned), quotient_threshold)
+        points.flags.writeable = False
+        if points.size >= 2:
+            window = select_interval(points, cleaned)
+    elif cleaned.size == 2 and quotients(cleaned)[0] - 1.0 <= quotient_threshold:
+        window = (0, 2)
+    elif cleaned.size > 0:
+        window = (0, 1)
+    season = None if window is None else season_from_interval(cleaned, *window, interp_factor)
+    diagnostics = DetectionDiagnostics(
+        zero_count=len(zeros),
+        interval=window if points is not None else None,
+        member_count=0 if window is None else window[1] - window[0],
+        low_confidence=cleaned.size == 1,
+        raw_distances=raw,
+        distances=cleaned,
+        change_points=points,
+    )
+    return season, diagnostics
+
+
+# Gaps in (0, 50], about a third of them at most one lag; each is repeated
+# up to six times, so the cleaned distances hold runs for the segmentation.
+zero_gaps = st.one_of(
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.floats(min_value=1e-3, max_value=50.0),
+    st.sampled_from([0.5, 1.0, 2.0, 10.0, 10.5, 20.0, 50.0]),
+)
+
+
+@given(
+    start=st.floats(min_value=0.0, max_value=100.0),
+    runs=st.lists(st.tuples(zero_gaps, st.integers(min_value=1, max_value=6)), max_size=12),
+    quotient_threshold=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    interp_factor=st.integers(min_value=1, max_value=8),
+)
+@example(start=100.0, runs=[(d, 1) for d in REFERENCE_DISTANCES], quotient_threshold=0.5,
+         interp_factor=1)
+@example(start=0.0, runs=[(10.0, 2), (50.0, 1)], quotient_threshold=0.5, interp_factor=1)
+@example(start=0.0, runs=[(10.0, 1), (30.0, 1)], quotient_threshold=0.5, interp_factor=4)
+@example(start=0.0, runs=[(0.5, 4)], quotient_threshold=0.5, interp_factor=1)
+# Ratios and quotient jumps of exactly the threshold: 15 / 10 - 1 = 0.5.
+@example(start=0.0, runs=[(10.0, 1), (15.0, 1)], quotient_threshold=0.5, interp_factor=1)
+@example(start=0.0, runs=[(10.0, 2), (15.0, 2)], quotient_threshold=0.5, interp_factor=1)
+@settings(max_examples=300, deadline=None)
+def test_estimate_from_zeros_matches_the_five_step_chain(
+    start, runs, quotient_threshold, interp_factor
+):
+    zeros = np.cumsum([start, *(gap for gap, count in runs for _ in range(count))])
+    season, diagnostics = estimate_from_zeros(zeros, quotient_threshold, interp_factor)
+    want_season, want = estimate_by_steps(zeros, quotient_threshold, interp_factor)
+    assert season == want_season
+    assert diagnostics == want
+    assert type(diagnostics.interval) is type(want.interval)
+    for name in ("raw_distances", "distances", "change_points"):
+        got, expected = getattr(diagnostics, name), getattr(want, name)
+        if expected is None:
+            assert got is None, name
+        else:
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+            assert got.tobytes() == expected.tobytes(), name
+            assert not got.flags.writeable, name
