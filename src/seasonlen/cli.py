@@ -276,31 +276,6 @@ def _evaluate_case(entry: dict, base: str, margin: float, config: DetectionConfi
     )
 
 
-def _evaluate_share(evaluate, entries: list[dict]) -> tuple[list[EvalRecord], Exception | None]:
-    """Evaluate entries in order, up to the first that raises.
-
-    Returns the records of the entries before it and its exception, or
-    every record and None. The exception is returned, not raised, so
-    that the parent can raise the one of the lowest manifest index, the
-    one a serial run stops at.
-    """
-    records = []
-    for entry in entries:
-        try:
-            records.append(evaluate(entry))
-        except Exception as exc:  # re-raised by evaluate_manifest
-            return records, exc
-    return records, None
-
-
-def _file_size(path: Path) -> int:
-    """The file's size in bytes, or 0 where it cannot be read; evaluating it reports why."""
-    try:
-        return path.stat().st_size
-    except OSError:
-        return 0
-
-
 def evaluate_manifest(
     manifest_path,
     margin: float = 0.2,
@@ -309,13 +284,13 @@ def evaluate_manifest(
 ) -> tuple[list[EvalRecord], dict]:
     """Score every case referenced by a manifest.
 
-    With jobs > 1, the cases are evaluated by at most one worker process
-    per entry, each taking one share of the entries: sorted by file
-    size, largest first, and dealt round-robin, so the shares hold
-    about the same number of values. Each share stops at its first
-    failure, and the failure of the lowest manifest index is raised,
-    the one a serial run raises. Records come back sorted by case id,
-    so serial and parallel runs produce identical output.
+    With jobs > 1, a pool of min(jobs, entries) worker processes takes
+    the entries in manifest order, in about four chunks per worker, so
+    a worker that finishes early takes the next chunk.
+    The failure of the lowest manifest index is raised, the one a serial
+    run raises; chunks that have not started are then cancelled, and
+    running ones finish. Records come back sorted by case id, so serial
+    and parallel runs produce identical output.
 
     Raises:
         ValueError: the margin is not a finite number >= 0, jobs is not
@@ -348,18 +323,9 @@ def evaluate_manifest(
                        config=DetectionConfig() if config is None else config)
     workers = min(jobs, len(entries))
     if workers > 1:
-        sizes = [_file_size(manifest_path.parent / entry["path"]) for entry in entries]
-        largest_first = sorted(range(len(entries)), key=lambda i: -sizes[i])
-        shares = [sorted(largest_first[k::workers]) for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_evaluate_share, evaluate, [entries[i] for i in share])
-                       for share in shares]
-            outcomes = [future.result() for future in futures]
-        failures = [(share[len(done)], exc) for share, (done, exc) in zip(shares, outcomes)
-                    if exc is not None]
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
-        records = [record for done, _ in outcomes for record in done]
+            records = list(pool.map(evaluate, entries,
+                                    chunksize=-(-len(entries) // (4 * workers))))
     else:
         records = list(map(evaluate, entries))
     records.sort(key=lambda r: r.case)

@@ -87,7 +87,7 @@ def detect_season_length(
     spec = design_butterworth_lowpass(config.filter_order, config.filter_cutoff)
     e = _exponent(series.values.max(), series.values.min())
     n = int(config.interp_factor) * (len(series) - 1) + 1
-    buffer = _smooth(np.ldexp(series.values, -e), config.interp_factor, spec, _acf_size(n))
+    buffer = _smooth(series.values, e, config.interp_factor, spec, _acf_size(n))
     values = buffer[:n]
     if np.ptp(values) == 0.0:
         return _result(1)

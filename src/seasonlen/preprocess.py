@@ -49,8 +49,8 @@ def interpolate_linear(series: TimeSeries, factor: int) -> TimeSeries:
     inserted points lie on the straight line between their neighbors.
     A factor of 1 returns the input unchanged. A difference between
     neighbours overflows only from 2**1023 up, so values that reach it
-    are halved first, which can move an inserted point below 2**-1021
-    by its last bit; the observations are copied from the input.
+    are halved first; the observations are then copied from the input,
+    and each inserted point is clipped to its neighbours' range.
     """
     if not _is_count(factor):
         raise ValueError(f"interpolation factor must be a positive integer, got {factor}")
@@ -58,9 +58,13 @@ def interpolate_linear(series: TimeSeries, factor: int) -> TimeSeries:
         return series
     x = series.values
     e = max(_exponent(x.max(), x.min()) - 1023, 0)
-    values = _smooth(np.ldexp(x, -e), factor)
+    values = _smooth(x, e, factor)
     np.ldexp(values, e, out=values)
     values[::factor] = x
+    if e > 0:  # the halving can round a subnormal neighbour; keep each point between its two
+        inserted = values[:-1].reshape(-1, factor)[:, 1:]
+        low, high = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
+        np.clip(inserted, low[:, None], high[:, None], out=inserted)
     return TimeSeries(values, series.delta / factor)
 
 
@@ -209,7 +213,7 @@ def apply_filter(series: TimeSeries, spec: FilterSpec) -> TimeSeries:
     """
     x = series.values
     e = _exponent(x.max(), x.min())
-    values = _smooth(np.ldexp(x, -e), 1, spec)
+    values = _smooth(x, e, 1, spec)
     if _exponent(values.max(), values.min()) + e > 1024:
         raise OverflowError(
             f"filter of order {spec.order} at cutoff {spec.cutoff} overshoots"
@@ -263,16 +267,18 @@ def _scan(u: np.ndarray, carry, mode: FilterMode):
     return carry
 
 
-def _smooth(x: np.ndarray, factor: int, spec: FilterSpec | None = None, size=0) -> np.ndarray:
-    """x upsampled by factor into a new array, then filtered by spec unless it is None.
+def _smooth(x: np.ndarray, e: int, factor: int, spec: FilterSpec | None = None,
+            size=0) -> np.ndarray:
+    """x * 2**-e upsampled by factor into a new array, then filtered by spec unless it is None.
 
     The array is at least size values long; those past factor*(n-1)+1 are left unset.
 
-    The upsampling fills _BLOCK // factor raw intervals at a time; to
-    filter, each block is centred on x[0], whose steady state is then
-    zero. Each section runs forward over the whole array from rest, then
-    backward from the steady state of the last forward value, and x[0]
-    is added back.
+    The upsampling scales and fills _BLOCK // factor raw intervals at a
+    time, so no scaled copy of x is made; to filter, each block is
+    centred on the scaled x[0], whose steady state is then zero. Each
+    section runs forward over the whole array from rest, then backward
+    from the steady state of the last forward value, and the scaled
+    x[0] is added back.
 
     Raises:
         ValueError: the output would be longer than numpy can index or
@@ -293,25 +299,27 @@ def _smooth(x: np.ndarray, factor: int, spec: FilterSpec | None = None, size=0) 
     except MemoryError:
         raise ValueError(f"{upsampled}, more than can be allocated") from None
     out = buffer[:length]
+    first = np.ldexp(x[0], -e)
     per = max(1, _BLOCK // factor)
     for lo in range(0, n - 1, per):
         hi = min(lo + per, n - 1)  # raw intervals lo:hi; the last block also holds x[-1]
         block = out[lo * factor:hi * factor + (hi == n - 1)]
-        block[::factor] = x[lo:hi + (hi == n - 1)]
-        step = x[lo + 1:hi + 1] - x[lo:hi]
+        raw = np.ldexp(x[lo:hi + 1], -e)
+        block[::factor] = raw if hi == n - 1 else raw[:-1]
+        step = raw[1:] - raw[:-1]
         for offset in range(1, factor):
             inserted = block[offset::factor]
             np.multiply(step, offset / factor, out=inserted)
-            inserted += x[lo:hi]
+            inserted += raw[:-1]
         if spec is not None:
-            block -= x[0]
+            block -= first
     if spec is not None:
         for mode in spec.modes:
             _scan(out, 0.0, mode)
         last = out[-1]
         for mode in spec.modes:
             _scan(out[::-1], mode.steady * last, mode)
-        out += x[0]
+        out += first
     return buffer
 
 

@@ -3,11 +3,11 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
 import tracemalloc
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -772,11 +772,11 @@ def test_more_seeds_keep_golden_detections(tmp_path, seed):
 
 
 class InlineExecutor:
-    """Stands in for ProcessPoolExecutor: runs each task when it is submitted."""
+    """Stands in for ProcessPoolExecutor: runs each chunk of map inline and records it."""
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
-        self.tasks = []
+        self.chunks = []
 
     def __enter__(self):
         return self
@@ -784,11 +784,11 @@ class InlineExecutor:
     def __exit__(self, *exc_info):
         return False
 
-    def submit(self, fn, *args):
-        self.tasks.append((fn, args))
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, iterable, chunksize=1):
+        iterator = iter(iterable)
+        while chunk := list(itertools.islice(iterator, chunksize)):
+            self.chunks.append(chunk)
+            yield from map(fn, chunk)
 
 
 @pytest.fixture
@@ -837,22 +837,15 @@ class TestEvalCommand:
         assert evaluate_manifest(manifest, jobs=2) == evaluate_manifest(manifest, jobs=1)
 
     @pytest.mark.parametrize("jobs", [2, 3, 4])
-    def test_one_share_per_worker(self, suite, inline_pools, jobs):
+    def test_chunks_cover_the_manifest_in_order(self, suite, inline_pools, jobs):
         assert evaluate_manifest(suite, jobs=jobs) == evaluate_manifest(suite, jobs=1)
         [pool] = inline_pools
         entries = [json.loads(line) for line in suite.read_text().splitlines()]
-        shares = [args[1] for _, args in pool.tasks]
-        assert pool.max_workers == len(shares) == min(jobs, len(entries))
-        assert max(map(len, shares)) - min(map(len, shares)) <= 1
-        # Every entry once, in manifest order within its share; dealt largest
-        # first, the shares' bytes differ by at most the largest file's.
-        assert sorted(entry["case"] for share in shares for entry in share) == sorted(
-            entry["case"] for entry in entries)
-        for share in shares:
-            assert share == sorted(share, key=entries.index)
-        size = {entry["case"]: (suite.parent / entry["path"]).stat().st_size for entry in entries}
-        totals = [sum(size[entry["case"]] for entry in share) for share in shares]
-        assert max(totals) - min(totals) <= max(size.values())
+        assert pool.max_workers == min(jobs, len(entries))
+        assert [entry for chunk in pool.chunks for entry in chunk] == entries
+        # About four chunks per worker, so one that finishes early takes more.
+        size = -(-len(entries) // (4 * pool.max_workers))
+        assert [len(chunk) for chunk in pool.chunks[:-1]] == [size] * (len(pool.chunks) - 1)
 
     def test_never_more_workers_than_entries(self, noise_csv, tmp_path, inline_pools):
         manifest = tmp_path / "manifest.jsonl"
@@ -862,7 +855,7 @@ class TestEvalCommand:
         records, _ = evaluate_manifest(manifest, jobs=3)
         assert [record.case for record in records] == ["a", "b"]
         [pool] = inline_pools
-        assert pool.max_workers == len(pool.tasks) == 2
+        assert pool.max_workers == len(pool.chunks) == 2
 
     def test_margin_zero_keeps_exact_and_no_season_passes(self, suite):
         records, _ = evaluate_manifest(suite, margin=0.0)
@@ -948,6 +941,27 @@ class TestEvalCommand:
         manifest.write_text("".join(
             json.dumps({"path": path, "reference": 50, "family": "Sine", "case": path}) + "\n"
             for path in paths))
+        errors = []
+        for jobs in ("1", "2"):
+            assert main(["eval", str(manifest), "--jobs", jobs]) == 2
+            errors.append(capsys.readouterr().err)
+        expected = ("error: NonFiniteError: " if nan_first else "error: FileNotFoundError: ")
+        assert errors[0] == errors[1] and errors[0].startswith(expected)
+        assert errors[0].count("\n") == 1
+
+    @pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "missing-first"])
+    def test_parallel_run_stops_at_the_lowest_failing_entry(self, tmp_path, capsys, nan_first):
+        # Nine entries in chunks of two at 2 jobs: the failures at indices 3
+        # and 6 fall in different chunks, which can finish in either order.
+        self.write_nan_csv(tmp_path / "nan.csv")
+        sine = np.sin(2 * np.pi * np.arange(400) / 50)
+        (tmp_path / "sine.csv").write_text("\n".join(map(repr, sine.tolist())) + "\n")
+        paths = ["sine.csv"] * 9
+        paths[3], paths[6] = ("nan.csv", "missing.csv") if nan_first else ("missing.csv", "nan.csv")
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(
+            json.dumps({"path": path, "reference": 50, "family": "Sine", "case": str(i)}) + "\n"
+            for i, path in enumerate(paths)))
         errors = []
         for jobs in ("1", "2"):
             assert main(["eval", str(manifest), "--jobs", jobs]) == 2

@@ -324,12 +324,12 @@ class TestDetectSeasonLength:
         # buffer it works in, takes about 2.36.
         spec = design_butterworth_lowpass(2, 0.001 * math.pi)
         assert self.traced_peak_in_upsampled_arrays(
-            1_000_000, lambda series: _smooth(series.values, 4, spec)
+            1_000_000, lambda series: _smooth(series.values, 0, 4, spec)
         ) <= 1.2
         n = 4 * (1_000_000 - 1) + 1
 
         def autocorrelate(series):
-            _autocorrelation_in_place(_smooth(series.values, 4, None, _acf_size(n)), n)
+            _autocorrelation_in_place(_smooth(series.values, 0, 4, None, _acf_size(n)), n)
 
         assert self.traced_peak_in_upsampled_arrays(1_000_000, autocorrelate) <= 2.6
 

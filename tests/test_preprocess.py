@@ -82,6 +82,15 @@ class TestInterpolateLinear:
         assert np.all(np.isfinite(out))
         assert np.array_equal(out[::3], x)
 
+    @pytest.mark.parametrize("factor", [2, 3, 5])
+    def test_halving_keeps_every_inserted_point_between_its_neighbours(self, factor):
+        # Halved, 5e-324 rounds to 0, which would be inserted below both neighbours.
+        x = np.array([1.5e308, 5e-324, 5e-324, 1.0])
+        rows = interpolate_linear(TimeSeries(x), factor).values[:-1].reshape(-1, factor)
+        assert np.all(rows >= np.minimum(x[:-1], x[1:])[:, None])
+        assert np.all(rows <= np.maximum(x[:-1], x[1:])[:, None])
+        assert np.array_equal(rows[1], [5e-324] * factor)
+
     @given(values=sane_values, factor=st.integers(min_value=1, max_value=5))
     @settings(max_examples=60)
     def test_decimation_round_trip(self, values, factor):
@@ -252,14 +261,14 @@ class TestApplyFilter:
                     continue
                 x = 1e3 + np.random.default_rng(n + order).normal(0, 1, n).cumsum()
                 whole = upsampled(x, factor)
-                assert _smooth(x, factor).tobytes() == whole.tobytes(), (n, factor)
+                assert _smooth(x, 0, factor).tobytes() == whole.tobytes(), (n, factor)
                 for cutoff in (0.001 * math.pi, 0.05 * math.pi, 0.5 * math.pi):
                     sos = signal.butter(order, cutoff / math.pi, output="sos")
                     want = signal.sosfiltfilt(sos, whole - x[0], padtype=None) + x[0]
                     spec = design_butterworth_lowpass(order, cutoff)
                     got = (
                         apply_filter(validate_series(x), spec).values
-                        if factor == 1 else _smooth(x, factor, spec)
+                        if factor == 1 else _smooth(x, 0, factor, spec)
                     )
                     assert np.abs(got - want).max() <= 1e-10 * np.ptp(whole), (n, factor, cutoff)
 
@@ -275,7 +284,7 @@ class TestApplyFilter:
                 for cutoff in (0.001 * math.pi, 0.5 * math.pi):
                     spec = design_butterworth_lowpass(order, cutoff)
                     want = whole_array_run(upsampled(x, factor), spec)
-                    assert _smooth(x, factor, spec).tobytes() == want.tobytes(), (n, factor)
+                    assert _smooth(x, 0, factor, spec).tobytes() == want.tobytes(), (n, factor)
 
     @pytest.mark.parametrize("order, cutoff", [(1, 0.5 * math.pi), (2, 0.001 * math.pi),
                                                (8, 0.5 * math.pi), (40, 0.99 * math.pi)])
@@ -296,10 +305,13 @@ class TestApplyFilter:
     @pytest.mark.parametrize("k", [-1000, -30, 30, 990])
     def test_a_binary_scale_scales_every_value_exactly(self, k):
         # Each step multiplies by constants or adds, so 2**k passes through
-        # bit for bit, from near the bottom of the normal range to 1e298.
+        # bit for bit, from near the bottom of the normal range to 1e298,
+        # whether the input is scaled or _smooth scales it block by block.
         x = np.random.default_rng(4).normal(0, 1, 5_000).cumsum()
         spec = design_butterworth_lowpass(2, 0.001 * math.pi)
-        assert np.array_equal(_smooth(x * 2.0**k, 4, spec), _smooth(x, 4, spec) * 2.0**k)
+        scaled = _smooth(x, 0, 4, spec) * 2.0**k
+        assert np.array_equal(_smooth(x * 2.0**k, 0, 4, spec), scaled)
+        assert np.array_equal(_smooth(x, -k, 4, spec), scaled)
 
     @pytest.mark.parametrize("intervals", [7, _BLOCK // 4 - 1, _BLOCK // 4, _BLOCK // 4 + 1])
     def test_one_whole_buffer_call_per_section_and_pass(self, monkeypatch, intervals):
@@ -315,7 +327,7 @@ class TestApplyFilter:
         length = 4 * intervals + 1
         for order in (1, 2, 4):
             spec, calls[:] = design_butterworth_lowpass(order, 0.05 * math.pi), []
-            _smooth(np.arange(intervals + 1.0), 4, spec)
+            _smooth(np.arange(intervals + 1.0), 0, 4, spec)
             sections = [id(mode) for mode in spec.modes]
             want = [(k, length, 8) for k in sections] + [(k, length, -8) for k in sections]
             assert calls == want, order
