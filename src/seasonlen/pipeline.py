@@ -28,7 +28,7 @@ from seasonlen.core import (
     _exponent,
 )
 from seasonlen.detrend import _detrend_in_place, _remove_polynomial
-from seasonlen.preprocess import _smooth, design_butterworth_lowpass
+from seasonlen.preprocess import _lowpass, _upsample, design_butterworth_lowpass
 from seasonlen.zerocross import _find_zeros, estimate_from_zeros
 
 __all__ = [
@@ -87,8 +87,9 @@ def detect_season_length(
     spec = design_butterworth_lowpass(config.filter_order, config.filter_cutoff)
     e = _exponent(series.values.max(), series.values.min())
     n = int(config.interp_factor) * (len(series) - 1) + 1
-    buffer = _smooth(series.values, e, config.interp_factor, spec, _acf_size(n))
+    buffer = _upsample(series.values, e, config.interp_factor, _acf_size(n))
     values = buffer[:n]
+    _lowpass(values, spec)
     if np.ptp(values) == 0.0:
         return _result(1)
 

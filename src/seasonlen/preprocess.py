@@ -16,9 +16,11 @@ state each row starts from is carried over from the rows before it.
 Rows are cut short enough that |p|**-row stays within 2**10; the
 scaling is centred on each row, so it costs about 2**5 of float range.
 
-Smoothing upsamples into one output array, then runs each section over
-all of it once forward and once backward; the scan works through it a
-cache-sized block at a time, so only that block's rows sit beside it.
+Upsampling scales and fills one output array a block of raw intervals
+at a time, so no scaled copy of the input is made. The low-pass then
+runs each section over all of it once forward and once backward; the
+scan works through it a cache-sized block at a time, so only that
+block's rows sit beside it.
 """
 
 from __future__ import annotations
@@ -58,10 +60,10 @@ def interpolate_linear(series: TimeSeries, factor: int) -> TimeSeries:
         return series
     x = series.values
     e = max(_exponent(x.max(), x.min()) - 1023, 0)
-    values = _smooth(x, e, factor)
-    np.ldexp(values, e, out=values)
-    values[::factor] = x
+    values = _upsample(x, e, factor)
     if e > 0:  # the halving can round a subnormal neighbour; keep each point between its two
+        np.ldexp(values, e, out=values)
+        values[::factor] = x
         inserted = values[:-1].reshape(-1, factor)[:, 1:]
         low, high = np.minimum(x[:-1], x[1:]), np.maximum(x[:-1], x[1:])
         np.clip(inserted, low[:, None], high[:, None], out=inserted)
@@ -213,7 +215,8 @@ def apply_filter(series: TimeSeries, spec: FilterSpec) -> TimeSeries:
     """
     x = series.values
     e = _exponent(x.max(), x.min())
-    values = _smooth(x, e, 1, spec)
+    values = np.ldexp(x, -e)
+    _lowpass(values, spec)
     if _exponent(values.max(), values.min()) + e > 1024:
         raise OverflowError(
             f"filter of order {spec.order} at cutoff {spec.cutoff} overshoots"
@@ -267,60 +270,55 @@ def _scan(u: np.ndarray, carry, mode: FilterMode):
     return carry
 
 
-def _smooth(x: np.ndarray, e: int, factor: int, spec: FilterSpec | None = None,
-            size=0) -> np.ndarray:
-    """x * 2**-e upsampled by factor into a new array, then filtered by spec unless it is None.
-
-    The array is at least size values long; those past factor*(n-1)+1 are left unset.
-
-    The upsampling scales and fills _BLOCK // factor raw intervals at a
-    time, so no scaled copy of x is made; to filter, each block is
-    centred on the scaled x[0], whose steady state is then zero. Each
-    section runs forward over the whole array from rest, then backward
-    from the steady state of the last forward value, and the scaled
-    x[0] is added back.
+def _upsample(x: np.ndarray, e: int, factor: int, size=0) -> np.ndarray:
+    """x * 2**-e upsampled by factor into a new array of at least size values, the rest unset.
 
     Raises:
         ValueError: the output would be longer than numpy can index or
             than can be allocated.
-        TooShortError: fewer than 6*order+1 values to filter.
     """
     factor, n = int(factor), x.size
     length = factor * (n - 1) + 1
     upsampled = f"interp_factor {factor} upsamples {n} values to {length}"
     if length > _MAX_VALUES:
         raise ValueError(f"{upsampled}, more than numpy can index")
-    if spec is not None and length <= 6 * spec.order:
-        raise TooShortError(
-            f"filter of order {spec.order} needs more than {6 * spec.order} samples, got {length}"
-        )
     try:
         buffer = np.empty(max(length, size))
     except MemoryError:
         raise ValueError(f"{upsampled}, more than can be allocated") from None
-    out = buffer[:length]
-    first = np.ldexp(x[0], -e)
     per = max(1, _BLOCK // factor)
     for lo in range(0, n - 1, per):
-        hi = min(lo + per, n - 1)  # raw intervals lo:hi; the last block also holds x[-1]
-        block = out[lo * factor:hi * factor + (hi == n - 1)]
+        hi = min(lo + per, n - 1)  # raw intervals lo:hi and both their end knots
+        block = buffer[lo * factor:hi * factor + 1]
         raw = np.ldexp(x[lo:hi + 1], -e)
-        block[::factor] = raw if hi == n - 1 else raw[:-1]
+        block[::factor] = raw
         step = raw[1:] - raw[:-1]
         for offset in range(1, factor):
             inserted = block[offset::factor]
             np.multiply(step, offset / factor, out=inserted)
             inserted += raw[:-1]
-        if spec is not None:
-            block -= first
-    if spec is not None:
-        for mode in spec.modes:
-            _scan(out, 0.0, mode)
-        last = out[-1]
-        for mode in spec.modes:
-            _scan(out[::-1], mode.steady * last, mode)
-        out += first
     return buffer
+
+
+def _lowpass(values: np.ndarray, spec: FilterSpec) -> None:
+    """Filter values in place: each section forward from rest, centred on values[0], then back.
+
+    Raises:
+        TooShortError: 6*order values or fewer.
+    """
+    if values.size <= 6 * spec.order:
+        raise TooShortError(
+            f"filter of order {spec.order} needs more than {6 * spec.order} samples,"
+            f" got {values.size}"
+        )
+    first = values[0]
+    values -= first
+    for mode in spec.modes:
+        _scan(values, 0.0, mode)
+    last = values[-1]
+    for mode in spec.modes:
+        _scan(values[::-1], mode.steady * last, mode)
+    values += first
 
 
 def magnitude_response(spec: FilterSpec, omegas) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from seasonlen.core import DetectionDiagnostics, TimeSeries
+from seasonlen.core import DetectionDiagnostics, TimeSeries, _is_count, _shown
 
 __all__ = ["find_zeros", "estimate_from_zeros"]
 
@@ -36,7 +36,7 @@ def find_zeros(acf: TimeSeries, epsilon_rel: float) -> np.ndarray:
 
     An empty result is a legal outcome, not an error.
     """
-    if epsilon_rel < 0:
+    if not epsilon_rel >= 0:
         raise ValueError(f"epsilon_rel must be >= 0, got {epsilon_rel}")
     return _find_zeros(acf.values, epsilon_rel)
 
@@ -119,8 +119,13 @@ def estimate_from_zeros(
     the interval.
 
     Raises:
-        ValueError: zeros not strictly ascending.
+        ValueError: quotient_threshold negative or NaN, interp_factor not
+            a positive integer, or zeros not strictly ascending.
     """
+    if not quotient_threshold >= 0:
+        raise ValueError(f"quotient_threshold must be >= 0, got {quotient_threshold}")
+    if not _is_count(interp_factor):
+        raise ValueError(f"interp_factor must be a positive integer, got {_shown(interp_factor)}")
     raw = np.diff(np.asarray(zeros, dtype=np.float64))
     if not np.all(raw > 0):
         raise ValueError("zero positions must be strictly ascending")

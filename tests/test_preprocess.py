@@ -5,15 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import signal
 
 from seasonlen import preprocess
-from seasonlen.core import TimeSeries, TooShortError, validate_series
+from seasonlen.core import TimeSeries, TooShortError, _exponent, validate_series
 from seasonlen.preprocess import (
     _BLOCK,
+    _lowpass,
     _scan,
-    _smooth,
+    _upsample,
     apply_filter,
     design_butterworth_lowpass,
     interpolate_linear,
@@ -226,6 +227,13 @@ def upsampled(x, factor):
     return out
 
 
+def smoothed(x, e, factor, spec):
+    """x * 2**-e as detect_season_length filters it: _upsample, then _lowpass."""
+    values = _upsample(x, e, factor)
+    _lowpass(values, spec)
+    return values
+
+
 def modal_recurrence(u, carry, p, c, d):
     """The section as a plain loop: y_n = d*u_n + Re(q_{n-1}), q_n = p*q_{n-1} + c*u_n."""
     out = np.empty(u.size)
@@ -261,14 +269,14 @@ class TestApplyFilter:
                     continue
                 x = 1e3 + np.random.default_rng(n + order).normal(0, 1, n).cumsum()
                 whole = upsampled(x, factor)
-                assert _smooth(x, 0, factor).tobytes() == whole.tobytes(), (n, factor)
+                assert _upsample(x, 0, factor).tobytes() == whole.tobytes(), (n, factor)
                 for cutoff in (0.001 * math.pi, 0.05 * math.pi, 0.5 * math.pi):
                     sos = signal.butter(order, cutoff / math.pi, output="sos")
                     want = signal.sosfiltfilt(sos, whole - x[0], padtype=None) + x[0]
                     spec = design_butterworth_lowpass(order, cutoff)
                     got = (
                         apply_filter(validate_series(x), spec).values
-                        if factor == 1 else _smooth(x, 0, factor, spec)
+                        if factor == 1 else smoothed(x, 0, factor, spec)
                     )
                     assert np.abs(got - want).max() <= 1e-10 * np.ptp(whole), (n, factor, cutoff)
 
@@ -284,7 +292,7 @@ class TestApplyFilter:
                 for cutoff in (0.001 * math.pi, 0.5 * math.pi):
                     spec = design_butterworth_lowpass(order, cutoff)
                     want = whole_array_run(upsampled(x, factor), spec)
-                    assert _smooth(x, 0, factor, spec).tobytes() == want.tobytes(), (n, factor)
+                    assert smoothed(x, 0, factor, spec).tobytes() == want.tobytes(), (n, factor)
 
     @pytest.mark.parametrize("order, cutoff", [(1, 0.5 * math.pi), (2, 0.001 * math.pi),
                                                (8, 0.5 * math.pi), (40, 0.99 * math.pi)])
@@ -306,12 +314,12 @@ class TestApplyFilter:
     def test_a_binary_scale_scales_every_value_exactly(self, k):
         # Each step multiplies by constants or adds, so 2**k passes through
         # bit for bit, from near the bottom of the normal range to 1e298,
-        # whether the input is scaled or _smooth scales it block by block.
+        # whether the input is scaled or _upsample scales it block by block.
         x = np.random.default_rng(4).normal(0, 1, 5_000).cumsum()
         spec = design_butterworth_lowpass(2, 0.001 * math.pi)
-        scaled = _smooth(x, 0, 4, spec) * 2.0**k
-        assert np.array_equal(_smooth(x * 2.0**k, 0, 4, spec), scaled)
-        assert np.array_equal(_smooth(x, -k, 4, spec), scaled)
+        scaled = smoothed(x, 0, 4, spec) * 2.0**k
+        assert np.array_equal(smoothed(x * 2.0**k, 0, 4, spec), scaled)
+        assert np.array_equal(smoothed(x, -k, 4, spec), scaled)
 
     @pytest.mark.parametrize("intervals", [7, _BLOCK // 4 - 1, _BLOCK // 4, _BLOCK // 4 + 1])
     def test_one_whole_buffer_call_per_section_and_pass(self, monkeypatch, intervals):
@@ -327,7 +335,7 @@ class TestApplyFilter:
         length = 4 * intervals + 1
         for order in (1, 2, 4):
             spec, calls[:] = design_butterworth_lowpass(order, 0.05 * math.pi), []
-            _smooth(np.arange(intervals + 1.0), 0, 4, spec)
+            smoothed(np.arange(intervals + 1.0), 0, 4, spec)
             sections = [id(mode) for mode in spec.modes]
             want = [(k, length, 8) for k in sections] + [(k, length, -8) for k in sections]
             assert calls == want, order
@@ -345,6 +353,30 @@ class TestApplyFilter:
         out = apply_filter(TimeSeries(x), spec).values
         scaled = apply_filter(TimeSeries(np.ldexp(x, -1024)), spec).values
         assert out.tobytes() == np.ldexp(scaled, 1024).tobytes()
+
+    @given(
+        n=st.integers(min_value=8, max_value=3_000),
+        scale=st.floats(min_value=1e-50, max_value=1e50),
+        offset=st.floats(min_value=-1e6, max_value=1e6),
+        factor=st.integers(min_value=1, max_value=8),
+        order=st.integers(min_value=1, max_value=4),
+        cutoff=st.floats(min_value=1e-3 * math.pi, max_value=0.5 * math.pi),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_detect_filters_exactly_as_the_public_stages(
+        self, n, scale, offset, factor, order, cutoff, seed
+    ):
+        # The benchmark's stage replay compares the detector with these
+        # stages by ==, so the two must agree to the bit.
+        assume(factor * (n - 1) + 1 > 6 * order)
+        series = TimeSeries(scale * (offset + np.random.default_rng(seed).normal(0, 1, n).cumsum()))
+        spec = design_butterworth_lowpass(order, cutoff)
+        x = series.values
+        e = _exponent(x.max(), x.min())
+        got = np.ldexp(smoothed(x, e, factor, spec), e)
+        want = apply_filter(interpolate_linear(series, factor), spec).values
+        assert got.tobytes() == want.tobytes()
 
     def test_an_overshoot_past_the_float_maximum_is_an_overflow(self):
         # The step is finite; the filter's overshoot of it is not, which

@@ -51,6 +51,11 @@ class TestFindZeros:
         with pytest.raises(ValueError, match="epsilon_rel must be >= 0"):
             find_zeros(detrended([1.0, 0.5, -0.5, -1.0]), -1e-4)
 
+    def test_nan_epsilon(self):
+        # NaN fails every comparison: a check for < 0 would pass it and run with no band.
+        with pytest.raises(ValueError, match="epsilon_rel must be >= 0"):
+            find_zeros(detrended([1.0, 0.5, -0.5, -1.0]), math.nan)
+
     def test_sinusoid_zero_grid(self):
         period = 40
         acf = detrend_acf(
@@ -339,6 +344,18 @@ class TestEstimateFromZeros:
                       diagnostics.change_points):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    @pytest.mark.parametrize("factor", [0, -4, 2.5, True])
+    def test_interp_factor_must_be_a_count(self, factor):
+        # Without the check, 0 divides by zero, -4 gives a season of -1.0 and 2.5 one of 1.6.
+        with pytest.raises(ValueError, match="interp_factor must be a positive integer"):
+            estimate_from_zeros(np.array([1.0, 3.0, 5.0, 7.0, 9.0]), 0.5, factor)
+
+    @pytest.mark.parametrize("threshold", [math.nan, -0.5])
+    def test_quotient_threshold_must_not_be_negative_or_nan(self, threshold):
+        # A NaN threshold fails every jump test; without the check it still gives a season.
+        with pytest.raises(ValueError, match="quotient_threshold must be >= 0"):
+            estimate_from_zeros(zeros_with_distances(*REFERENCE_DISTANCES), threshold, 1)
 
     def test_no_surviving_distance(self):
         season, analysis = estimate_from_zeros(np.array([2.0, 3.0, 4.0]), 0.5, 1)
